@@ -65,7 +65,6 @@ type options struct {
 	heuristic     string
 	protocol      string
 	release       string
-	batch         int
 	ciEps         float64
 	csv, json     bool
 	plot          bool
@@ -94,7 +93,6 @@ func main() {
 	flag.StringVar(&o.heuristic, "heuristic", "", "partitioning heuristic for the cores scenario: "+strings.Join(partition.HeuristicNames(), ", ")+" (default: compare all)")
 	flag.StringVar(&o.protocol, "protocol", "", "mode-switch protocol for the modes scenario: system-drop, liu-degrade or task-level (default: compare all)")
 	flag.StringVar(&o.release, "release", "", "release model for the modes scenario: periodic or sporadic (default: compare both)")
-	flag.IntVar(&o.batch, "batch", 0, "lockstep batch width for simulating scenarios (0 = auto; results are identical for any value)")
 	flag.Float64Var(&o.ciEps, "ci-eps", 0, "adaptive sampling for simulating scenarios: stop replicating once the 95% CI half-width drops to this (0 = fixed budgets)")
 	flag.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
 	flag.BoolVar(&o.json, "json", false, "emit JSON lines instead of aligned tables")
@@ -201,7 +199,7 @@ func run(ctx context.Context, w io.Writer, o options) error {
 		Bound: bound,
 		Cores: cores, Heuristic: o.heuristic,
 		Protocol: o.protocol, Release: o.release,
-		Batch: o.batch, CIEps: o.ciEps,
+		CIEps: o.ciEps,
 		Eng: experiment.EngOpts{
 			Progress:      sink,
 			CheckpointDir: o.checkpoint,

@@ -65,7 +65,6 @@ func main() {
 		workers   = flag.Int("workers", runtime.NumCPU(), "worker goroutines for the GA search and simulation (results are identical for any value)")
 		simulate  = flag.Float64("simulate", 0, "also run the EDF-VD simulator for this horizon (0 = skip)")
 		runs      = flag.Int("runs", 1, "simulator replications with derived seeds (with -simulate)")
-		batch     = flag.Int("batch", 0, "lockstep batch width for the simulator (0 = auto; results are identical for any value)")
 		ciEps     = flag.Float64("ci-eps", 0, "adaptive sampling: stop replicating once the 95% CI half-width on P_sys^MS drops to this (0 = run exactly -runs)")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/pprof and /debug/vars on this address for the run's duration (e.g. :6060; :0 picks a free port)")
 		metrics   = flag.Bool("metrics", false, "print the run's final counters as Prometheus-style text on exit")
@@ -94,7 +93,7 @@ func main() {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "mcopt: serving /metrics and /debug/pprof on http://%s\n", srv.Addr())
 	}
-	runErr := run(ctx, *in, *polName, *n, *lambda, *bound, *cores, *heuristic, *protocol, *release, *out, *seed, *workers, *simulate, *runs, *batch, *ciEps)
+	runErr := run(ctx, *in, *polName, *n, *lambda, *bound, *cores, *heuristic, *protocol, *release, *out, *seed, *workers, *simulate, *runs, *ciEps)
 	if *metrics && runErr == nil {
 		fmt.Print(artifact.MetricsText(obs.Default.Snapshot()))
 	}
@@ -107,7 +106,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, in, polName string, n, lambda float64, boundName string, cores int, heurName, protoName, relName, out string, seed int64, workers int, horizon float64, runs, batch int, ciEps float64) error {
+func run(ctx context.Context, in, polName string, n, lambda float64, boundName string, cores int, heurName, protoName, relName, out string, seed int64, workers int, horizon float64, runs int, ciEps float64) error {
 	if in == "" {
 		return fmt.Errorf("-in is required")
 	}
@@ -218,14 +217,14 @@ func run(ctx context.Context, in, polName string, n, lambda float64, boundName s
 			// estimate is pinned to the requested precision.
 			res, serr := mlmc.AdaptiveAlloc(ctx, a.TaskSet, cfg,
 				func(m sim.Metrics) bool { return m.ModeSwitches > 0 },
-				mlmc.AdaptiveOptions{Eps: ciEps, MaxRuns: runs, Batch: batch, Workers: workers})
+				mlmc.AdaptiveOptions{Eps: ciEps, MaxRuns: runs, Workers: workers})
 			if serr != nil {
 				return serr
 			}
 			fmt.Printf("Simulated %g time units, adaptive: P[mode switch]=%.4f ±%.4f (95%% CI), spent %d of %d runs (saved %d)\n",
 				horizon, res.PHat, res.HalfWidth, res.Runs, runs, res.Saved)
 		} else {
-			ms, serr := sim.ReplicateBatchCtx(ctx, a.TaskSet, cfg, runs, workers, batch)
+			ms, serr := sim.ReplicateBatchCtx(ctx, a.TaskSet, cfg, runs, workers, 0)
 			if serr != nil {
 				return serr
 			}

@@ -26,7 +26,7 @@ func TestRunPolicies(t *testing.T) {
 	path := writeTaskSet(t)
 	for _, pol := range []string{"ga", "uniform", "lambda"} {
 		for _, bound := range []string{"", "vp"} {
-			if err := run(context.Background(), path, pol, 5, 0.25, bound, 1, "", "", "", "", 1, 2, 0, 1, 0, 0); err != nil {
+			if err := run(context.Background(), path, pol, 5, 0.25, bound, 1, "", "", "", "", 1, 2, 0, 1, 0); err != nil {
 				t.Fatalf("%s (bound %q): %v", pol, bound, err)
 			}
 		}
@@ -36,7 +36,7 @@ func TestRunPolicies(t *testing.T) {
 func TestRunWithSimulationAndOutput(t *testing.T) {
 	in := writeTaskSet(t)
 	out := filepath.Join(t.TempDir(), "opt.json")
-	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 1, "", "", "", out, 1, 2, 20000, 3, 0, 0); err != nil {
+	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 1, "", "", "", out, 1, 2, 20000, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -57,22 +57,22 @@ func TestRunWithSimulationAndOutput(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	path := writeTaskSet(t)
-	if err := run(context.Background(), "", "ga", 5, 0.25, "", 1, "", "", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), "", "ga", 5, 0.25, "", 1, "", "", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("missing -in must error")
 	}
-	if err := run(context.Background(), path, "bogus", 5, 0.25, "", 1, "", "", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), path, "bogus", 5, 0.25, "", 1, "", "", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("unknown policy must error")
 	}
-	if err := run(context.Background(), path+"x", "ga", 5, 0.25, "", 1, "", "", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), path+"x", "ga", 5, 0.25, "", 1, "", "", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("missing file must error")
 	}
-	if err := run(context.Background(), path, "ga", 5, 0.25, "bogus", 1, "", "", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), path, "ga", 5, 0.25, "bogus", 1, "", "", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("unknown bound must error")
 	}
-	if err := run(context.Background(), path, "ga", 5, 0.25, "", 1, "", "per-task", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), path, "ga", 5, 0.25, "", 1, "", "per-task", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("unknown protocol must error")
 	}
-	if err := run(context.Background(), path, "ga", 5, 0.25, "", 1, "", "", "bursty", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), path, "ga", 5, 0.25, "", 1, "", "", "bursty", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("unknown release model must error")
 	}
 }
@@ -82,7 +82,7 @@ func TestRunMulticore(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "opt.json")
 	// Two cores with worst-fit, simulated, with the optimised set written
 	// out: the full multicore CLI surface.
-	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 2, "wf", "", "", out, 1, 2, 5000, 3, 0, 0); err != nil {
+	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 2, "wf", "", "", out, 1, 2, 5000, 3, 0); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -97,10 +97,10 @@ func TestRunMulticore(t *testing.T) {
 	if hc := ts.ByCrit(mc.HC)[0]; hc.CLO != 25 {
 		t.Errorf("optimised C^LO = %g, want 25", hc.CLO)
 	}
-	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 0, "", "", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 0, "", "", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("cores=0 must error")
 	}
-	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 2, "bogus", "", "", "", 1, 2, 0, 1, 0, 0); err == nil {
+	if err := run(context.Background(), in, "uniform", 4, 0.25, "", 2, "bogus", "", "", "", 1, 2, 0, 1, 0); err == nil {
 		t.Error("unknown heuristic must error")
 	}
 }

@@ -24,7 +24,6 @@
 //   - internal/fit        — pWCET/EVT fitting (bounds ablation)
 //   - internal/dbf        — demand-bound functions, exact QPA EDF test
 //   - internal/ga         — genetic algorithm substrate
-//   - internal/anneal     — simulated annealing (optimizer ablation)
 //   - internal/taskgen    — synthetic dual-criticality task sets
 //   - internal/experiment — one harness per paper table/figure
 //
@@ -32,8 +31,6 @@
 //
 //   - internal/mlmc       — >2 criticality levels (the stated future work)
 //   - internal/partition  — partitioned multiprocessors (per-core Eq. 8)
-//   - internal/amc        — fixed-priority AMC-rtb analysis
-//   - internal/energy     — DVFS speed scaling over the Eq. 8 floor
 //
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation; see DESIGN.md for the experiment index and

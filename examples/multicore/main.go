@@ -7,13 +7,14 @@
 // and the per-core verdicts compose into the system view: P_sys^MS =
 // 1 − Π_c (1 − P_c^MS), the summed LC capacity, and an all-cores Eq. 8
 // verdict. The worst-fit system is then replayed in the per-core EDF-VD
-// simulator (sim.ReplicateSystem), where one core's mode switch leaves
+// simulator (sim.ReplicateSystemCtx), where one core's mode switch leaves
 // every other core in LO.
 //
 // Run with: go run ./examples/multicore [-cores 4] [-u 2.5]
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -34,6 +35,7 @@ func main() {
 	u := flag.Float64("u", 2.5, "workload utilisation bound (U_LC^LO + U_HC^HI)")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
+	ctx := context.Background()
 
 	r := rand.New(rand.NewSource(*seed))
 	ts, err := taskgen.Mixed(r, taskgen.Config{}, *u)
@@ -57,7 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		a, err := sys.Assign(ts, rand.New(rand.NewSource(root)))
+		a, err := sys.AssignCtx(ctx, ts, rand.New(rand.NewSource(root)))
 		if err != nil {
 			// partition.UnplacedError: this heuristic finds no feasible
 			// placement — report it and keep comparing the others.
@@ -99,7 +101,7 @@ func main() {
 	scfg.Horizon = 200000
 	scfg.Exec = exec
 	scfg.Seed = *seed
-	ms, err := sim.ReplicateSystem(worstFit.CoreSets(), scfg, 1, 0)
+	ms, err := sim.ReplicateSystemCtx(ctx, worstFit.CoreSets(), scfg, 1, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

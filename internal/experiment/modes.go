@@ -86,9 +86,6 @@ type ModesConfig struct {
 	Runs int
 	// Horizon is the simulated span per replication. Default 20000.
 	Horizon float64
-	// Batch is the lockstep width (≤ 0 for the engine default). Never in
-	// the checkpoint key: results are width-invariant.
-	Batch int
 	// Seed roots every derived stream; Workers bounds the sweep's
 	// goroutines (identical results at every count).
 	Seed    int64
@@ -266,7 +263,7 @@ func RunModesCtx(ctx context.Context, cfg ModesConfig, eo EngOpts) (*ModesResult
 			// release gaps and execution draws, making the LC-completion
 			// comparison exact per seed.
 			scfg.Seed = rng.Derive(cfg.Seed, streamModes, -1, int64(s), int64(point%nr))
-			ms, err := sim.ReplicateBatchCtx(ctx, ats, scfg, cfg.Runs, 1, cfg.Batch)
+			ms, err := sim.ReplicateBatchCtx(ctx, ats, scfg, cfg.Runs, 1, 0)
 			if err != nil {
 				return setOut{}, fmt.Errorf("experiment: modes %s/%s: %w", proto.Name, rel.Name, err)
 			}

@@ -31,10 +31,6 @@ type Options struct {
 	// Eq. 10 scoring (the -bound flag). Nil keeps the paper's Cantelli
 	// default, and with it every golden artefact byte for byte.
 	Bound stats.Bound
-	// Batch is the lockstep width for scenarios that run the
-	// discrete-event simulator (the -batch flag; ≤ 0 selects the engine
-	// default). Results — and checkpoints — are identical at every width.
-	Batch int
 	// CIEps enables adaptive sample allocation in simulating scenarios:
 	// each estimate replicates only until its Wilson 95% half-width
 	// drops to CIEps (the -ci-eps flag; 0 runs fixed budgets, keeping
@@ -486,7 +482,7 @@ func runBounds(ctx context.Context, o Options) ([]artifact.Artifact, error) {
 func runSimVal(ctx context.Context, o Options) ([]artifact.Artifact, error) {
 	cfg := SimValConfig{
 		Seed: o.Seed, Workers: o.Workers, Sets: o.Sets,
-		Bound: o.Bound, Batch: o.Batch, CIEps: o.CIEps,
+		Bound: o.Bound, CIEps: o.CIEps,
 	}
 	res, err := RunSimValCtx(ctx, cfg, o.Eng)
 	if err != nil {
@@ -553,7 +549,7 @@ func runModes(ctx context.Context, o Options) ([]artifact.Artifact, error) {
 	cfg := ModesConfig{
 		Protocols: protos, Releases: rels,
 		Seed: o.Seed, Workers: o.Workers, Sets: o.Sets,
-		Bound: o.Bound, Batch: o.Batch,
+		Bound: o.Bound,
 	}
 	res, err := RunModesCtx(ctx, cfg, o.Eng)
 	if err != nil {

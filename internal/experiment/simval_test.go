@@ -64,79 +64,13 @@ func TestSimVal(t *testing.T) {
 	}
 }
 
-// TestSimValBatchInvariance pins the scenario-level width-invariance
-// claim the -batch flag documents: identical rows AND byte-identical
-// checkpoints at every lockstep width, in adaptive mode too.
-func TestSimValBatchInvariance(t *testing.T) {
-	readCheckpoints := func(dir string) map[string]string {
-		files := map[string]string{}
-		err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-			if err != nil || info.IsDir() {
-				return err
-			}
-			b, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			rel, err := filepath.Rel(dir, path)
-			if err != nil {
-				return err
-			}
-			files[rel] = string(b)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-
-	run := func(batch int) (*SimVal, map[string]string) {
-		cfg := simValSmoke()
-		cfg.CIEps = 0.05
-		cfg.Batch = batch
-		dir := t.TempDir()
-		res, err := RunSimValCtx(context.Background(), cfg, EngOpts{CheckpointDir: dir})
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		return res, readCheckpoints(dir)
-	}
-
-	base, baseCk := run(1)
-	if base.SavedFraction() <= 0 {
-		t.Errorf("adaptive mode saved nothing (eps likely too tight for the fixture)")
-	}
-	for _, batch := range []int{0, 8, 64} {
-		res, ck := run(batch)
-		for i := range base.Rows {
-			if res.Rows[i] != base.Rows[i] {
-				t.Errorf("batch=%d row %d diverges: %+v vs %+v", batch, i, res.Rows[i], base.Rows[i])
-			}
-		}
-		if len(ck) != len(baseCk) || len(ck) == 0 {
-			t.Fatalf("batch=%d wrote %d checkpoints, want %d > 0", batch, len(ck), len(baseCk))
-		}
-		for name, body := range baseCk {
-			if ck[name] != body {
-				t.Errorf("batch=%d checkpoint %s not byte-identical", batch, name)
-			}
-		}
-	}
-}
-
 // TestSimValCheckpointKeys pins the key discipline: the adaptive
-// tolerance folds into the checkpoint key only when enabled (so
-// historical eps-less keys stay valid), and the batch width never does.
+// tolerance folds into the checkpoint key only when enabled, so
+// historical eps-less keys stay valid.
 func TestSimValCheckpointKeys(t *testing.T) {
 	dir := t.TempDir()
 	cfg := simValSmoke()
 	if _, err := RunSimValCtx(context.Background(), cfg, EngOpts{CheckpointDir: dir}); err != nil {
-		t.Fatal(err)
-	}
-	plain := t.TempDir()
-	cfg.Batch = 16
-	if _, err := RunSimValCtx(context.Background(), cfg, EngOpts{CheckpointDir: plain}); err != nil {
 		t.Fatal(err)
 	}
 	keyOf := func(d string) string {
@@ -152,10 +86,6 @@ func TestSimValCheckpointKeys(t *testing.T) {
 		}
 		return f.Key
 	}
-	if a, b := keyOf(dir), keyOf(plain); a != b {
-		t.Errorf("batch width leaked into the checkpoint key: %q vs %q", a, b)
-	}
-
 	eps := t.TempDir()
 	cfg.CIEps = 0.05
 	if _, err := RunSimValCtx(context.Background(), cfg, EngOpts{CheckpointDir: eps}); err != nil {

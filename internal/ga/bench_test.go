@@ -92,7 +92,12 @@ func BenchmarkGAParallel(b *testing.B) {
 	}
 	p := rastriginProblem(8)
 	p.Fitness = expensive
-	for _, workers := range []int{1, runtime.NumCPU()} {
+	// One entry per distinct count: at NumCPU = 1, workers=1 would run twice.
+	counts := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		counts = append(counts, n)
+	}
+	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := cfgWith(func(c *Config) { c.PopSize = 40; c.Generations = 12; c.Seed = int64(i + 1); c.Workers = workers })

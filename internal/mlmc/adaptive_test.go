@@ -94,29 +94,6 @@ func TestAdaptiveAllocConverges(t *testing.T) {
 	}
 }
 
-// TestAdaptiveAllocWidthInvariance pins the batch-width independence of
-// the spend sequence: identical results at every lockstep width.
-func TestAdaptiveAllocWidthInvariance(t *testing.T) {
-	ts, cfg := adaptiveFixture(t)
-	ctx := context.Background()
-	opt := AdaptiveOptions{Eps: 0.05, MaxRuns: 5000, Workers: 3}
-	base, err := AdaptiveAlloc(ctx, ts, cfg, overran, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, batch := range []int{1, 7, 32, 500} {
-		o := opt
-		o.Batch = batch
-		got, err := AdaptiveAlloc(ctx, ts, cfg, overran, o)
-		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
-		}
-		if got != base {
-			t.Fatalf("batch=%d: %+v != %+v", batch, got, base)
-		}
-	}
-}
-
 // TestAdaptiveAllocDisabled checks Eps ≤ 0 spends the full budget.
 func TestAdaptiveAllocDisabled(t *testing.T) {
 	ts, cfg := adaptiveFixture(t)

@@ -38,7 +38,7 @@ func BenchmarkAssignCores(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.Assign(ts, rand.New(rand.NewSource(1))); err != nil {
+				if _, err := sys.AssignCtx(b.Context(), ts, rand.New(rand.NewSource(1))); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -164,11 +164,6 @@ func (e *UnplacedError) Error() string {
 		e.TaskID, e.Cores, e.Heuristic)
 }
 
-// Assign is AssignCtx with context.Background().
-func (s *System) Assign(ts *mc.TaskSet, r *rand.Rand) (Assignment, error) {
-	return s.AssignCtx(context.Background(), ts, r)
-}
-
 // AssignCtx partitions ts, runs one policy search per core, and composes
 // the system Assignment. With Cores ≤ 1 it is a passthrough: the policy
 // sees the same task set and the same generator state the single-core

@@ -1,7 +1,6 @@
 package multicore
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -56,7 +55,7 @@ func TestSingleCoreBitIdentity(t *testing.T) {
 		for _, h := range partition.Heuristics() {
 			for seed := int64(1); seed <= 5; seed++ {
 				ts := mixedSet(t, seed, 0.7)
-				want, err := policy.AssignCtx(context.Background(), pol, ts, rand.New(rand.NewSource(seed)))
+				want, err := policy.AssignCtx(t.Context(), pol, ts, rand.New(rand.NewSource(seed)))
 				if err != nil {
 					t.Fatalf("seed %d: direct: %v", seed, err)
 				}
@@ -64,7 +63,7 @@ func TestSingleCoreBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := sys.Assign(ts, rand.New(rand.NewSource(seed)))
+				got, err := sys.AssignCtx(t.Context(), ts, rand.New(rand.NewSource(seed)))
 				if err != nil {
 					t.Fatalf("seed %d: system: %v", seed, err)
 				}
@@ -94,7 +93,7 @@ func TestWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sys.Assign(ts, rand.New(rand.NewSource(7)))
+		got, err := sys.AssignCtx(t.Context(), ts, rand.New(rand.NewSource(7)))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -116,7 +115,7 @@ func TestComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Assign(ts, rand.New(rand.NewSource(1)))
+	a, err := sys.AssignCtx(t.Context(), ts, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +186,7 @@ func TestEmptyCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := sys.Assign(ts, rand.New(rand.NewSource(1)))
+	a, err := sys.AssignCtx(t.Context(), ts, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +238,7 @@ func TestUnplaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sys.Assign(ts, rand.New(rand.NewSource(1)))
+	_, err = sys.AssignCtx(t.Context(), ts, rand.New(rand.NewSource(1)))
 	var ue *UnplacedError
 	if !errors.As(err, &ue) {
 		t.Fatalf("err = %v, want UnplacedError", err)

@@ -49,8 +49,8 @@ import (
 	"chebymc/internal/rng"
 )
 
-// DefaultBatchWidth is the lockstep width ReplicateBatchCtx and
-// ReplicateInto use when the caller passes batch ≤ 0. Wide enough to
+// DefaultBatchWidth is the lockstep width ReplicateInto always uses and
+// ReplicateBatchCtx uses when the caller passes batch ≤ 0. Wide enough to
 // amortise the shared skeleton walk, small enough that a batch's SoA
 // working set stays cache-resident for paper-sized task sets.
 const DefaultBatchWidth = 32
@@ -65,7 +65,7 @@ func ReplicateBatchCtx(ctx context.Context, ts *mc.TaskSet, cfg Config, runs, wo
 		return nil, fmt.Errorf("sim: need runs ≥ 1, got %d", runs)
 	}
 	out := make([]Metrics, runs)
-	if err := ReplicateInto(ctx, ts, cfg, 0, runs, workers, batch, func(run int, m Metrics) {
+	if err := replicateInto(ctx, ts, cfg, 0, runs, workers, batch, func(run int, m Metrics) {
 		out[run] = m
 	}); err != nil {
 		return nil, err
@@ -80,8 +80,15 @@ func ReplicateBatchCtx(ctx context.Context, ts *mc.TaskSet, cfg Config, runs, wo
 // It is the aggregation form: sweeps that only reduce (Summarize, CI
 // accumulation) never materialise a runs-sized []Metrics, and adaptive
 // allocators extend a prefix [0, n) incrementally by calling it again
-// with from = n.
-func ReplicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, workers, batch int, fold func(run int, m Metrics)) error {
+// with from = n. Replications run DefaultBatchWidth at a time; the
+// result does not depend on the width.
+func ReplicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, workers int, fold func(run int, m Metrics)) error {
+	return replicateInto(ctx, ts, cfg, from, to, workers, DefaultBatchWidth, fold)
+}
+
+// replicateInto is ReplicateInto at lockstep width batch (≤ 0 for
+// DefaultBatchWidth).
+func replicateInto(ctx context.Context, ts *mc.TaskSet, cfg Config, from, to, workers, batch int, fold func(run int, m Metrics)) error {
 	if from < 0 || to < from {
 		return fmt.Errorf("sim: bad replication range [%d, %d)", from, to)
 	}

@@ -204,7 +204,7 @@ func BenchmarkReplicateSystem(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateSystem(sets, Config{Horizon: 1e4, Seed: 1}, 8, 0); err != nil {
+		if _, err := ReplicateSystemCtx(b.Context(), sets, Config{Horizon: 1e4, Seed: 1}, 8, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

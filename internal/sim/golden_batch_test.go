@@ -187,42 +187,45 @@ func TestBatchWidthInvariance(t *testing.T) {
 
 // TestReplicateInto pins the fold contract: run order, the global run
 // index space (an extension [n, m) reproduces the same replications a
-// full [0, m) pass computes), and range validation.
+// full [0, m) pass computes, at the default width and at an odd one
+// that leaves a ragged last chunk), and range validation.
 func TestReplicateInto(t *testing.T) {
 	ts := goldenSets(t)["heavy"]
 	cfg := Config{Horizon: 20000, Exec: batchGoldenExec(t, ts), Seed: 7}
-	ctx := context.Background()
+	ctx := t.Context()
 	want, err := ReplicateCtx(ctx, ts, cfg, 24, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	next := 5
-	err = ReplicateInto(ctx, ts, cfg, 5, 24, 3, 7, func(run int, m Metrics) {
-		if run != next {
-			t.Fatalf("fold out of order: got run %d, want %d", run, next)
+	for _, width := range []int{DefaultBatchWidth, 7} {
+		next := 5
+		err = replicateInto(ctx, ts, cfg, 5, 24, 3, width, func(run int, m Metrics) {
+			if run != next {
+				t.Fatalf("width=%d: fold out of order: got run %d, want %d", width, run, next)
+			}
+			next++
+			if m != want[run] {
+				t.Fatalf("width=%d: run %d diverges:\n got  %+v\n want %+v", width, run, m, want[run])
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		next++
-		if m != want[run] {
-			t.Fatalf("run %d diverges:\n got  %+v\n want %+v", run, m, want[run])
+		if next != 24 {
+			t.Fatalf("width=%d: fold stopped at run %d, want 24", width, next)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next != 24 {
-		t.Fatalf("fold stopped at run %d, want 24", next)
 	}
 
-	if err := ReplicateInto(ctx, ts, cfg, 3, 3, 1, 1, func(int, Metrics) {
+	if err := ReplicateInto(ctx, ts, cfg, 3, 3, 1, func(int, Metrics) {
 		t.Fatal("fold called on empty range")
 	}); err != nil {
 		t.Fatalf("empty range: %v", err)
 	}
-	if err := ReplicateInto(ctx, ts, cfg, -1, 3, 1, 1, nil); err == nil {
+	if err := ReplicateInto(ctx, ts, cfg, -1, 3, 1, nil); err == nil {
 		t.Fatal("negative from accepted")
 	}
-	if err := ReplicateInto(ctx, ts, cfg, 5, 4, 1, 1, nil); err == nil {
+	if err := ReplicateInto(ctx, ts, cfg, 5, 4, 1, nil); err == nil {
 		t.Fatal("inverted range accepted")
 	}
 }

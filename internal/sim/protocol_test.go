@@ -77,7 +77,7 @@ func TestExplicitAxesBatchWidths(t *testing.T) {
 	cfg.Jitter = nil
 	cfg.Seed = 99
 	const runs = 24
-	want, err := Replicate(ts, cfg, runs, 2)
+	want, err := ReplicateCtx(t.Context(), ts, cfg, runs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,14 +103,14 @@ func TestExplicitAxesSystemReplay(t *testing.T) {
 	ts1, cfg := benchSet(t, 6)
 	ts2, _ := benchSet(t, 9)
 	cfg.Seed = 5
-	want, err := ReplicateSystem([]*mc.TaskSet{ts1, ts2}, cfg, 8, 2)
+	want, err := ReplicateSystemCtx(t.Context(), []*mc.TaskSet{ts1, ts2}, cfg, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	explicit := cfg
 	explicit.Protocol = SystemLevel
 	explicit.Release = Periodic{}
-	got, err := ReplicateSystem([]*mc.TaskSet{ts1, ts2}, explicit, 8, 3)
+	got, err := ReplicateSystemCtx(t.Context(), []*mc.TaskSet{ts1, ts2}, explicit, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

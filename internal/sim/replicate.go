@@ -9,13 +9,6 @@ import (
 	"chebymc/internal/rng"
 )
 
-// Replicate is ReplicateCtx with context.Background() — a convenience
-// for callers with no cancellation story (tests, one-shot tools). New
-// code that runs under a driver or sweep should call ReplicateCtx.
-func Replicate(ts *mc.TaskSet, cfg Config, runs, workers int) ([]Metrics, error) {
-	return ReplicateCtx(context.Background(), ts, cfg, runs, workers)
-}
-
 // ReplicateCtx runs the Monte Carlo replication loop: the same task set
 // and configuration simulated runs times, each with a seed derived from
 // cfg.Seed and the run index. Replications execute on up to workers

@@ -19,7 +19,7 @@ func replicateCfg(t *testing.T) Config {
 func TestReplicateWorkerInvariant(t *testing.T) {
 	ts := mkSet(t)
 	cfg := replicateCfg(t)
-	base, err := Replicate(ts, cfg, 16, 1)
+	base, err := ReplicateCtx(t.Context(), ts, cfg, 16, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestReplicateWorkerInvariant(t *testing.T) {
 		t.Fatalf("got %d runs, want 16", len(base))
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := Replicate(ts, cfg, 16, workers)
+		got, err := ReplicateCtx(t.Context(), ts, cfg, 16, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestReplicateWorkerInvariant(t *testing.T) {
 
 func TestReplicateRunsAreIndependent(t *testing.T) {
 	ts := mkSet(t)
-	ms, err := Replicate(ts, replicateCfg(t), 8, 4)
+	ms, err := ReplicateCtx(t.Context(), ts, replicateCfg(t), 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +60,13 @@ func TestReplicateRunsAreIndependent(t *testing.T) {
 
 func TestReplicateValidation(t *testing.T) {
 	ts := mkSet(t)
-	if _, err := Replicate(ts, replicateCfg(t), 0, 4); err == nil {
+	if _, err := ReplicateCtx(t.Context(), ts, replicateCfg(t), 0, 4); err == nil {
 		t.Error("runs = 0 must error")
 	}
-	if _, err := Replicate(ts, Config{Horizon: -1}, 4, 2); err == nil {
+	if _, err := ReplicateCtx(t.Context(), ts, Config{Horizon: -1}, 4, 2); err == nil {
 		t.Error("invalid config must error")
 	}
-	if _, err := Replicate(nil, replicateCfg(t), 4, 2); err == nil {
+	if _, err := ReplicateCtx(t.Context(), nil, replicateCfg(t), 4, 2); err == nil {
 		t.Error("nil task set must error")
 	}
 }
@@ -76,7 +76,7 @@ func TestSummarize(t *testing.T) {
 		t.Error("empty summary must be zero")
 	}
 	ts := mkSet(t)
-	ms, err := Replicate(ts, replicateCfg(t), 6, 3)
+	ms, err := ReplicateCtx(t.Context(), ts, replicateCfg(t), 6, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,11 +79,6 @@ func (m SystemMetrics) Utilisation() float64 {
 	return busy / span
 }
 
-// ReplicateSystem is ReplicateSystemCtx with context.Background().
-func ReplicateSystem(sets []*mc.TaskSet, cfg Config, runs, workers int) ([]SystemMetrics, error) {
-	return ReplicateSystemCtx(context.Background(), sets, cfg, runs, workers)
-}
-
 // ReplicateSystemCtx is the multicore replication mode: sets holds one
 // task set per core (nil entries are idle cores), and each replication
 // runs every core's DES independently under cfg. Core c of run i seeds

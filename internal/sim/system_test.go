@@ -45,12 +45,12 @@ func execOverCLO(t testing.TB) map[int]dist.Dist {
 func TestReplicateSystemDeterminism(t *testing.T) {
 	sets := systemSets(t)
 	cfg := Config{Horizon: 5000, Exec: execOverCLO(t), Seed: 42}
-	want, err := ReplicateSystem(sets, cfg, 20, 1)
+	want, err := ReplicateSystemCtx(t.Context(), sets, cfg, 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 4} {
-		got, err := ReplicateSystem(sets, cfg, 20, workers)
+		got, err := ReplicateSystemCtx(t.Context(), sets, cfg, 20, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestReplicateSystemDeterminism(t *testing.T) {
 // service, because each core runs its own DES.
 func TestReplicateSystemCoreIndependence(t *testing.T) {
 	sets := systemSets(t)
-	ms, err := ReplicateSystem(sets, Config{Horizon: 5000, Exec: execOverCLO(t), Seed: 42}, 50, 0)
+	ms, err := ReplicateSystemCtx(t.Context(), sets, Config{Horizon: 5000, Exec: execOverCLO(t), Seed: 42}, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReplicateSystemIdleAndLCOnlyCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	sets := []*mc.TaskSet{nil, lcOnly}
-	ms, err := ReplicateSystem(sets, Config{Horizon: 1000, Seed: 1}, 3, 0)
+	ms, err := ReplicateSystemCtx(t.Context(), sets, Config{Horizon: 1000, Seed: 1}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,20 +112,20 @@ func TestReplicateSystemIdleAndLCOnlyCores(t *testing.T) {
 			t.Errorf("LC-only core: %+v", m.Cores[1])
 		}
 	}
-	if _, err := ReplicateSystem([]*mc.TaskSet{nil, nil}, Config{Horizon: 1000}, 1, 0); err == nil {
+	if _, err := ReplicateSystemCtx(t.Context(), []*mc.TaskSet{nil, nil}, Config{Horizon: 1000}, 1, 0); err == nil {
 		t.Error("all-idle system must error")
 	}
-	if _, err := ReplicateSystem(nil, Config{Horizon: 1000}, 1, 0); err == nil {
+	if _, err := ReplicateSystemCtx(t.Context(), nil, Config{Horizon: 1000}, 1, 0); err == nil {
 		t.Error("empty system must error")
 	}
-	if _, err := ReplicateSystem(sets, Config{Horizon: 1000}, 0, 0); err == nil {
+	if _, err := ReplicateSystemCtx(t.Context(), sets, Config{Horizon: 1000}, 0, 0); err == nil {
 		t.Error("0 runs must error")
 	}
 }
 
 func TestSummarizeSystem(t *testing.T) {
 	sets := systemSets(t)
-	ms, err := ReplicateSystem(sets, Config{Horizon: 5000, Exec: execOverCLO(t), Seed: 42}, 50, 0)
+	ms, err := ReplicateSystemCtx(t.Context(), sets, Config{Horizon: 5000, Exec: execOverCLO(t), Seed: 42}, 50, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
