@@ -4,8 +4,11 @@ GO ?= go
 
 .PHONY: all build vet test test-race bench bench-json bench-compare profile profile-live experiments traces cover fmt serve loadtest
 
-# The PR counter for the benchmark-trajectory file written by bench-json.
-BENCH_N ?= 8
+# BENCH_LAST is the highest-numbered checked-in baseline BENCH_<n>.json;
+# bench-json writes the next trajectory file, one past it, unless BENCH_N
+# is given. Both are read before any target runs.
+BENCH_LAST := $(shell ls BENCH_*.json 2>/dev/null | sed 's/[^0-9]//g' | sort -n | tail -1)
+BENCH_N ?= $(shell echo $$(( $(or $(BENCH_LAST),0) + 1 )))
 
 all: build vet test test-race
 
@@ -36,11 +39,11 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'Fig4$$|SimVal' -benchmem -count 3 . ; } \
 	| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
-# Gate the current tree against the previous PR's baseline. ns/op is only
-# meaningful on the same machine; CI gates on allocs alone.
+# Gate the current tree against the latest baseline, BENCH_$(BENCH_LAST).
+# ns/op is only meaningful on the same machine; CI gates on allocs alone.
 bench-compare: bench-json
 	$(GO) run ./cmd/benchjson -compare -tol 0.15 -metrics allocs \
-	  BENCH_$$(( $(BENCH_N) - 1 )).json BENCH_$(BENCH_N).json
+	  BENCH_$(BENCH_LAST).json BENCH_$(BENCH_N).json
 
 # Profile the Fig. 4/5 sweep (the repo's hottest path) at reduced scale;
 # inspect with `go tool pprof cpu.out`.

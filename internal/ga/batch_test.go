@@ -1,52 +1,66 @@
 package ga
 
+// Scoring-path tests: Run scores each generation's batch in a plain
+// serial loop at Workers 1 and through par.MapCtx above it. Both paths
+// must hand Fitness the same genomes, score each bred child exactly
+// once, and produce the same Result.
+
 import (
 	"fmt"
-	"sync/atomic"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
-// batchAdapter wraps a plain fitness as a BatchFitness, verifying the
-// Derived provenance contract on every genome it scores: genes outside
-// the declared [Lo, Hi] range must be byte-identical to the parent.
-type batchAdapter struct {
-	fit       func([]float64) float64
-	violation atomic.Value // stores a string on first contract violation
-	calls     atomic.Uint64
-	hits      uint64 // static counters to exercise BatchStats plumbing
-	fulls     uint64
-	deltas    uint64
+// recorder wraps a fitness and keeps a copy of every genome it scores.
+type recorder struct {
+	fit     func([]float64) float64
+	mu      sync.Mutex
+	genomes [][]float64
 }
 
-func (a *batchAdapter) FitnessBatch(batch []Derived, out []float64, workers int) {
-	a.calls.Add(1)
-	for i, d := range batch {
-		if d.Parent != nil {
-			if len(d.Parent) != len(d.Genome) {
-				a.violation.CompareAndSwap(nil, "parent/genome length mismatch")
-			}
-			for k := range d.Genome {
-				if (k < d.Lo || k > d.Hi) && d.Genome[k] != d.Parent[k] {
-					a.violation.CompareAndSwap(nil, fmt.Sprintf(
-						"gene %d outside declared range [%d, %d] differs from parent", k, d.Lo, d.Hi))
-				}
-			}
-			a.deltas++
-		} else {
-			a.fulls++
+func (r *recorder) fitness(g []float64) float64 {
+	r.mu.Lock()
+	r.genomes = append(r.genomes, slices.Clone(g))
+	r.mu.Unlock()
+	return r.fit(g)
+}
+
+// assertPathsAgree runs p serially and at Workers 4 and checks that both
+// produce the same Result, score the same multiset of genomes (concurrent
+// scorers call Fitness in no fixed order), and score exactly the initial
+// population plus PopSize − Elites children per generation — never the
+// discarded second child of an odd population's final pair.
+func assertPathsAgree(t *testing.T, bounds []Bound, fit func([]float64) float64, cfg Config) {
+	t.Helper()
+	run := func(workers int) (Result, [][]float64) {
+		rec := &recorder{fit: fit}
+		c := cfg
+		c.Workers = workers
+		res, err := Run(Problem{Bounds: bounds, Fitness: rec.fitness}, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		out[i] = a.fit(d.Genome)
+		slices.SortFunc(rec.genomes, slices.Compare[[]float64])
+		return res, rec.genomes
+	}
+	serial, serialGenomes := run(1)
+	batch, batchGenomes := run(4)
+	if !reflect.DeepEqual(serial, batch) {
+		t.Fatalf("Workers 4 diverged from serial:\nserial: %+v\nbatch:  %+v", serial, batch)
+	}
+	if want := cfg.PopSize + cfg.Generations*(cfg.PopSize-cfg.Elites); len(serialGenomes) != want {
+		t.Errorf("serial loop scored %d genomes, want %d", len(serialGenomes), want)
+	}
+	if !reflect.DeepEqual(serialGenomes, batchGenomes) {
+		t.Error("Workers 4 scored a different multiset of genomes than the serial loop")
 	}
 }
 
-func (a *batchAdapter) BatchStats() (uint64, uint64, uint64) {
-	return a.hits, a.fulls, a.deltas
-}
-
-// TestBatchPathMatchesFitnessPath: a Batch scorer that evaluates each
-// genome with the plain fitness must reproduce the Fitness path run for
-// run — Best, BestFitness, History — across the golden matrix, while the
-// provenance it receives stays consistent.
+// TestBatchPathMatchesFitnessPath: scoring each generation as one
+// concurrent batch must reproduce the serial per-genome Fitness loop run
+// for run across three surfaces × elites × seeds.
 func TestBatchPathMatchesFitnessPath(t *testing.T) {
 	surfaces := map[string]func([]float64) float64{"sphere": sphere, "plateau": plateau, "rastrigin": rastrigin}
 	for surfName, fit := range surfaces {
@@ -54,42 +68,18 @@ func TestBatchPathMatchesFitnessPath(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				name := fmt.Sprintf("%s/elites=%d/seed=%d", surfName, elites, seed)
 				t.Run(name, func(t *testing.T) {
-					p := goldenProblem(fit, 6)
 					cfg := cfgWith(func(c *Config) { c.PopSize = 24; c.Generations = 30; c.Elites = elites; c.Seed = seed })
-					want, err := Run(p, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ad := &batchAdapter{fit: fit}
-					got, err := Run(Problem{Bounds: p.Bounds, Batch: ad}, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if v := ad.violation.Load(); v != nil {
-						t.Fatalf("Derived contract violated: %s", v)
-					}
-					if got.BestFitness != want.BestFitness {
-						t.Errorf("BestFitness = %v, want %v", got.BestFitness, want.BestFitness)
-					}
-					for i := range want.Best {
-						if got.Best[i] != want.Best[i] {
-							t.Errorf("Best[%d] = %v, want %v", i, got.Best[i], want.Best[i])
-						}
-					}
-					for i := range want.History {
-						if got.History[i] != want.History[i] {
-							t.Fatalf("History[%d] = %v, want %v", i, got.History[i], want.History[i])
-						}
-					}
+					assertPathsAgree(t, goldenProblem(fit, 6).Bounds, fit, cfg)
 				})
 			}
 		}
 	}
 }
 
-// TestBatchOperatorEdges covers the provenance corners: genome length 1
-// (crossover degenerates to a full swap), disabled operators (children
-// arrive as unmodified copies, Lo > Hi), and odd population sizes.
+// TestBatchOperatorEdges covers the breeding corners on both scoring
+// paths: genome length 1 (crossover degenerates to a full swap),
+// disabled operators (children are unmodified copies), and odd
+// population sizes.
 func TestBatchOperatorEdges(t *testing.T) {
 	cases := map[string]struct {
 		dim int
@@ -103,51 +93,34 @@ func TestBatchOperatorEdges(t *testing.T) {
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			p := goldenProblem(sphere, c.dim)
-			want, err := Run(p, c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ad := &batchAdapter{fit: sphere}
-			got, err := Run(Problem{Bounds: p.Bounds, Batch: ad}, c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v := ad.violation.Load(); v != nil {
-				t.Fatalf("Derived contract violated: %s", v)
-			}
-			if got.BestFitness != want.BestFitness {
-				t.Errorf("BestFitness = %v, want %v", got.BestFitness, want.BestFitness)
-			}
+			assertPathsAgree(t, goldenProblem(sphere, c.dim).Bounds, sphere, c.cfg)
 		})
 	}
 }
 
-// TestBatchStatsSurfaced: Run must report per-run deltas of the
-// scorer's cumulative BatchStats counters in Result.
-func TestBatchStatsSurfaced(t *testing.T) {
-	ad := &batchAdapter{fit: sphere, hits: 100, fulls: 200, deltas: 300}
-	p := Problem{Bounds: goldenProblem(sphere, 3).Bounds, Batch: ad}
-	res, err := Run(p, cfgWith(func(c *Config) { c.PopSize = 10; c.Generations = 5; c.Seed = 1 }))
-	if err != nil {
-		t.Fatal(err)
+// TestSerialScoringAllocatesPerRunOnly: at Workers 1 a run's allocations
+// must not grow with the number of generations — the serial loop scores
+// into a reused buffer, where par.MapCtx would allocate a result slice
+// per generation.
+func TestSerialScoringAllocatesPerRunOnly(t *testing.T) {
+	bounds := goldenProblem(sphere, 4).Bounds
+	p := Problem{Bounds: bounds, Fitness: func([]float64) float64 { return 0 }}
+	allocs := func(generations int) float64 {
+		cfg := cfgWith(func(c *Config) { c.Generations = generations; c.Seed = 1 })
+		return testing.AllocsPerRun(10, func() {
+			if _, err := Run(p, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	// The adapter counts fulls/deltas itself on top of the pre-seeded
-	// values; Run must have subtracted the starting snapshot.
-	wantFulls := ad.fulls - 200
-	wantDeltas := ad.deltas - 300
-	if res.MemoHits != 0 || res.FullEvals != wantFulls || res.DeltaEvals != wantDeltas {
-		t.Errorf("stats = (%d, %d, %d), want (0, %d, %d)",
-			res.MemoHits, res.FullEvals, res.DeltaEvals, wantFulls, wantDeltas)
-	}
-	if res.FullEvals == 0 || res.DeltaEvals == 0 {
-		t.Error("expected non-zero full and delta evaluation counts")
+	if at10, at100 := allocs(10), allocs(100); at100 != at10 {
+		t.Errorf("allocations per run: %v at 100 generations, %v at 10", at100, at10)
 	}
 }
 
-// TestNilFitnessAndBatch: a problem with neither scorer must error.
-func TestNilFitnessAndBatch(t *testing.T) {
+// TestNilFitness: a problem without a fitness function must error.
+func TestNilFitness(t *testing.T) {
 	if _, err := Run(Problem{Bounds: []Bound{{0, 1}}}, Config{}); err == nil {
-		t.Error("nil fitness and nil batch must error")
+		t.Error("nil fitness must error")
 	}
 }

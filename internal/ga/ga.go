@@ -27,13 +27,7 @@ var (
 	obsGenerations = obs.Default.Counter("ga_generations_total",
 		"generations evolved across all runs")
 	obsFitnessEvals = obs.Default.Counter("ga_fitness_evals_total",
-		"genomes handed to the fitness evaluator (before memoisation)")
-	obsMemoHits = obs.Default.Counter("ga_memo_hits_total",
-		"genome scores served from the memo cache")
-	obsFullEvals = obs.Default.Counter("ga_full_evals_total",
-		"genome scores recomputed from scratch")
-	obsDeltaEvals = obs.Default.Counter("ga_delta_evals_total",
-		"genome scores recomputed incrementally from a parent's state")
+		"genomes handed to the fitness function")
 	obsBestObjective = obs.Default.Gauge("ga_best_objective",
 		"best fitness of the most recently completed GA run")
 )
@@ -51,44 +45,6 @@ type Problem struct {
 	// defensive copy is made), and the same storage is reused across
 	// generations.
 	Fitness func(genome []float64) float64
-	// Batch, when non-nil, replaces Fitness for all scoring: the run
-	// hands whole populations to it at once, annotated with the breeding
-	// provenance (parent genome and changed-gene range) the operators
-	// already know, so delta-aware evaluators can re-score children in
-	// O(changed genes). The same purity contract as Fitness applies, and
-	// the scores returned must be bit-identical to what a gene-by-gene
-	// full evaluation would produce — the run's trajectory depends on
-	// them.
-	Batch BatchFitness
-}
-
-// Derived is one genome of a batch together with its breeding
-// provenance. Parent, when non-nil, is a genome scored in an earlier
-// FitnessBatch call of the same run from which Genome was bred by
-// changing only the genes in [Lo, Hi]; genes outside that range are
-// byte-identical to Parent's. Lo > Hi means Genome is an unmodified copy
-// of Parent. Parent == nil means no provenance (the initial population).
-type Derived struct {
-	Genome []float64
-	Parent []float64
-	Lo, Hi int
-}
-
-// BatchFitness scores whole genome batches. Implementations must be pure
-// (no randomness, no retained or mutated slices), must fill out[i] with
-// the fitness of batch[i].Genome, and must be safe for workers > 1
-// concurrent scorers; results must be identical for every workers value.
-type BatchFitness interface {
-	FitnessBatch(batch []Derived, out []float64, workers int)
-}
-
-// BatchStats is optionally implemented by a BatchFitness that memoises
-// evaluations. Counters are cumulative over the evaluator's lifetime;
-// Run snapshots them so Result reports per-run deltas.
-type BatchStats interface {
-	// BatchStats reports memo-cache hits, full evaluations (misses
-	// without usable provenance) and delta re-evaluations.
-	BatchStats() (hits, fulls, deltas uint64)
 }
 
 // Config tunes the algorithm. Every field is taken literally — there are
@@ -173,10 +129,6 @@ type Result struct {
 	BestFitness float64
 	// History records the best fitness per generation.
 	History []float64
-	// MemoHits, FullEvals and DeltaEvals report this run's scoring-cache
-	// statistics when Problem.Batch implements BatchStats; all zero
-	// otherwise.
-	MemoHits, FullEvals, DeltaEvals uint64
 }
 
 type individual struct {
@@ -204,7 +156,7 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 			return Result{}, fmt.Errorf("ga: gene %d has invalid bounds [%g, %g]", i, b.Lo, b.Hi)
 		}
 	}
-	if p.Fitness == nil && p.Batch == nil {
+	if p.Fitness == nil {
 		return Result{}, errors.New("ga: nil fitness function")
 	}
 	if cfg.Workers == 0 {
@@ -212,10 +164,6 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 	}
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
-	}
-	var statHits, statFulls, statDeltas uint64
-	if bs, ok := p.Batch.(BatchStats); ok {
-		statHits, statFulls, statDeltas = bs.BatchStats()
 	}
 
 	r := rand.New(rand.NewSource(cfg.Seed))
@@ -228,23 +176,25 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 		}
 		return b.Lo + r.Float64()*(b.Hi-b.Lo)
 	}
-	// evalAll scores a batch of genomes on cfg.Workers goroutines, either
-	// through the batched delta-aware scorer or gene-by-gene via Fitness.
-	// Both are documented pure — they must not retain or mutate the
-	// slices — and draw no randomness, so genomes are passed without a
-	// defensive copy and scoring order cannot affect the run: results
-	// are bit-identical for every worker count.
-	fitsBuf := make([]float64, 0, cfg.PopSize)
+	// evalAll scores a batch of genomes: serially into the reused
+	// fitsBuf at Workers 1, fanned out over cfg.Workers goroutines
+	// otherwise. Fitness is documented pure — it must not retain or
+	// mutate the slice — and draws no randomness, so genomes are passed
+	// without a defensive copy and scoring order cannot affect the run:
+	// results are bit-identical for every worker count.
+	fitsBuf := make([]float64, cfg.PopSize)
 	var evals uint64 // flushed to obsFitnessEvals once per run
-	evalAll := func(batch []Derived) []float64 {
-		evals += uint64(len(batch))
-		if p.Batch != nil {
-			fits := fitsBuf[:len(batch)]
-			p.Batch.FitnessBatch(batch, fits, cfg.Workers)
+	evalAll := func(genomes [][]float64) []float64 {
+		evals += uint64(len(genomes))
+		if cfg.Workers == 1 {
+			fits := fitsBuf[:len(genomes)]
+			for i, g := range genomes {
+				fits[i] = p.Fitness(g)
+			}
 			return fits
 		}
-		fits, _ := par.MapCtx(context.Background(), cfg.Workers, len(batch), func(i int) (float64, error) {
-			return p.Fitness(batch[i].Genome), nil
+		fits, _ := par.MapCtx(context.Background(), cfg.Workers, len(genomes), func(i int) (float64, error) {
+			return p.Fitness(genomes[i]), nil
 		})
 		return fits
 	}
@@ -265,17 +215,12 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 	}
 	cur, nxt := newArena(), newArena()
 
-	// batchBuf carries the per-genome provenance handed to Batch; it is
-	// rebuilt in place every generation.
-	batchBuf := make([]Derived, 0, cfg.PopSize)
-	for i := 0; i < cfg.PopSize; i++ {
-		g := cur[i]
+	for _, g := range cur[:cfg.PopSize] {
 		for k := range g {
 			g[k] = sample(k)
 		}
-		batchBuf = append(batchBuf, Derived{Genome: g})
 	}
-	fits := evalAll(batchBuf)
+	fits := evalAll(cur[:cfg.PopSize])
 	pop := make([]individual, cfg.PopSize)
 	for i := range pop {
 		pop[i] = individual{genome: cur[i], fitness: fits[i]}
@@ -349,48 +294,31 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 
 		// Breed the full offspring batch on the serial path — every
 		// random draw happens here, in the same order for any Workers —
-		// then score the batch concurrently. Winners are copied into
-		// next-arena rows and operators mutate those copies in place;
-		// each child's provenance (parent genome, changed-gene range) is
-		// recorded for the delta-aware scorer. Parent slices stay valid
-		// for the whole scoring call: they live in the cur arena, which
-		// is not recycled until the generation swap below.
+		// then score the batch. Winners are copied into next-arena rows
+		// and operators mutate those copies in place.
 		offspring = offspring[:0]
-		batchBuf = batchBuf[:0]
 		for len(next)+len(offspring) < cfg.PopSize {
-			pa := tournament().genome
 			ra := nxt[len(next)+len(offspring)]
-			copy(ra, pa)
+			copy(ra, tournament().genome)
 			// The second child's row index tops out at PopSize — the
 			// scratch row — exactly when the child will be discarded.
-			pb := tournament().genome
 			rb := nxt[len(next)+len(offspring)+1]
-			copy(rb, pb)
-			// Changed ranges start empty (lo > hi) and grow to the union
-			// of the operator touches.
-			loA, hiA := dim, -1
-			loB, hiB := dim, -1
+			copy(rb, tournament().genome)
 			if r.Float64() < cfg.CrossProb {
-				i, j := twoPointCrossover(r, ra, rb)
-				loA, hiA = i, j
-				loB, hiB = i, j
+				twoPointCrossover(r, ra, rb)
 			}
 			if r.Float64() < cfg.MutProb {
-				k := mutateOne(r, ra, p.Bounds)
-				loA, hiA = min(loA, k), max(hiA, k)
+				mutateOne(r, ra, p.Bounds)
 			}
 			if r.Float64() < cfg.MutProb {
-				k := mutateOne(r, rb, p.Bounds)
-				loB, hiB = min(loB, k), max(hiB, k)
+				mutateOne(r, rb, p.Bounds)
 			}
 			offspring = append(offspring, ra)
-			batchBuf = append(batchBuf, Derived{Genome: ra, Parent: pa, Lo: loA, Hi: hiA})
 			if len(next)+len(offspring) < cfg.PopSize {
 				offspring = append(offspring, rb)
-				batchBuf = append(batchBuf, Derived{Genome: rb, Parent: pb, Lo: loB, Hi: hiB})
 			}
 		}
-		for i, f := range evalAll(batchBuf) {
+		for i, f := range evalAll(offspring) {
 			next = append(next, individual{genome: offspring[i], fitness: f})
 		}
 		pop, nextBuf = next, pop[:0]
@@ -407,31 +335,22 @@ func RunCtx(ctx context.Context, p Problem, cfg Config) (Result, error) {
 
 	res.Best = best.genome
 	res.BestFitness = best.fitness
-	if bs, ok := p.Batch.(BatchStats); ok {
-		h, f, d := bs.BatchStats()
-		res.MemoHits = h - statHits
-		res.FullEvals = f - statFulls
-		res.DeltaEvals = d - statDeltas
-	}
 
 	obsRuns.Inc()
 	obsGenerations.Add(uint64(cfg.Generations))
 	obsFitnessEvals.Add(evals)
-	obsMemoHits.Add(res.MemoHits)
-	obsFullEvals.Add(res.FullEvals)
-	obsDeltaEvals.Add(res.DeltaEvals)
 	obsBestObjective.Set(res.BestFitness)
 	return res, nil
 }
 
 // twoPointCrossover swaps the gene segment between two cut points of a and
-// b in place and returns the swapped range [i, j]. For genomes of length 1
-// it degenerates to a full swap without drawing randomness.
-func twoPointCrossover(r *rand.Rand, a, b []float64) (int, int) {
+// b in place. For genomes of length 1 it degenerates to a full swap
+// without drawing randomness.
+func twoPointCrossover(r *rand.Rand, a, b []float64) {
 	n := len(a)
 	if n == 1 {
 		a[0], b[0] = b[0], a[0]
-		return 0, 0
+		return
 	}
 	i, j := r.Intn(n), r.Intn(n)
 	if i > j {
@@ -440,18 +359,16 @@ func twoPointCrossover(r *rand.Rand, a, b []float64) (int, int) {
 	for k := i; k <= j; k++ {
 		a[k], b[k] = b[k], a[k]
 	}
-	return i, j
 }
 
 // mutateOne re-samples one uniformly chosen gene within its bounds —
-// single-point mutation — and returns the mutated index.
-func mutateOne(r *rand.Rand, g []float64, bounds []Bound) int {
+// single-point mutation.
+func mutateOne(r *rand.Rand, g []float64, bounds []Bound) {
 	i := r.Intn(len(g))
 	b := bounds[i]
 	if b.Hi == b.Lo {
 		g[i] = b.Lo
-		return i
+		return
 	}
 	g[i] = b.Lo + r.Float64()*(b.Hi-b.Lo)
-	return i
 }

@@ -1,6 +1,7 @@
 package objective
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -70,68 +71,8 @@ func BenchmarkObjectiveApply(b *testing.B) {
 	}
 }
 
-// BenchmarkObjectiveDelta measures incremental re-scoring of a
-// single-gene change against a cached parent state — the GA mutation
-// case the delta path exists for. It drives compute directly: through
-// FitnessBatch every distinct child would land in the memo, so a cycled
-// workload degenerates to cache hits after one pass.
-func BenchmarkObjectiveDelta(b *testing.B) {
-	ts := benchSet(b, 1)
-	e, err := New(ts, Options{DisableMemo: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parent := benchGenomes(ts, 1, 2)[0]
-	pst := e.scratch.Get().(*state)
-	e.compute(pst, parent, nil, 0, 0)
-	h := len(parent)
-	children := make([][]float64, 64)
-	r := rand.New(rand.NewSource(3))
-	ks := make([]int, len(children))
-	for i := range children {
-		c := append([]float64(nil), parent...)
-		k := r.Intn(h)
-		c[k] = r.Float64() * c[k]
-		children[i], ks[i] = c, k
-	}
-	st := e.scratch.Get().(*state)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		j := i % len(children)
-		e.compute(st, children[j], pst, ks[j], ks[j])
-		_ = e.finish(st)
-	}
-}
-
-// BenchmarkObjectiveCopyHit measures the cache-hit path: an unmodified
-// copy (Lo > Hi) served from the parent's cached fitness. Two slices of
-// identical content alternate as parent and child so every batch after
-// the first is a hit.
-func BenchmarkObjectiveCopyHit(b *testing.B) {
-	ts := benchSet(b, 1)
-	e, err := New(ts, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h := ts.NumHC()
-	g0 := benchGenomes(ts, 1, 2)[0]
-	g1 := append([]float64(nil), g0...)
-	out := make([]float64, 1)
-	batch := make([]ga.Derived, 1)
-	batch[0] = ga.Derived{Genome: g0}
-	e.FitnessBatch(batch, out, 1) // prime the cache
-	gs := [2][]float64{g1, g0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch[0] = ga.Derived{Genome: gs[i%2], Parent: gs[(i+1)%2], Lo: h, Hi: -1}
-		e.FitnessBatch(batch, out, 1)
-	}
-}
-
-// BenchmarkObjectiveBatchGA runs a whole GA search through the batched
-// engine — the end-to-end shape policy.ChebyshevGA drives.
+// BenchmarkObjectiveBatchGA runs a whole GA search through the engine —
+// the end-to-end shape policy.ChebyshevGA drives.
 func BenchmarkObjectiveBatchGA(b *testing.B) {
 	ts := benchSet(b, 1)
 	hcs := ts.ByCrit(mc.HC)
@@ -150,10 +91,61 @@ func BenchmarkObjectiveBatchGA(b *testing.B) {
 		cfg.Seed = 1
 		cfg.PopSize = 40
 		cfg.Generations = 60
-		if _, err := ga.Run(ga.Problem{Bounds: bounds, Batch: e}, cfg); err != nil {
+		if _, err := ga.Run(ga.Problem{Bounds: bounds, Fitness: e.Fitness}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGAGenomeLength runs ga.Run at the paper's ga.Defaults() on
+// taskgen.Mixed sets of h ≈ 1, 2, 16 and 90 HC tasks (smaller per-task
+// utilisations give more tasks), so a change to the scoring pass shows
+// its cost at every genome length: the paper's sets hold a handful of HC
+// tasks, the long genomes are where work per gene dominates.
+func BenchmarkGAGenomeLength(b *testing.B) {
+	for _, c := range []struct {
+		h      int
+		utilHi float64
+	}{{1, 0.5}, {2, 0.3}, {16, 0.04}, {90, 0.007}} {
+		ts := mixedSetWithHC(b, c.h, c.utilHi)
+		hcs := ts.ByCrit(mc.HC)
+		bounds := make([]ga.Bound, len(hcs))
+		for i, t := range hcs {
+			bounds[i] = ga.Bound{Lo: 0, Hi: math.Min(core.NMax(t), 50)}
+		}
+		b.Run(fmt.Sprintf("h=%d", c.h), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, err := New(ts, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := ga.Defaults()
+				cfg.Seed = 1
+				if _, err := ga.Run(ga.Problem{Bounds: bounds, Fitness: e.Fitness}, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// mixedSetWithHC draws taskgen.Mixed sets at U_bound 0.8 with per-task
+// utilisations in [utilHi/4, utilHi] until one has exactly h HC tasks.
+func mixedSetWithHC(b *testing.B, h int, utilHi float64) *mc.TaskSet {
+	b.Helper()
+	cfg := taskgen.Config{UtilLo: utilHi / 4, UtilHi: utilHi}
+	for seed := int64(1); seed <= 1000; seed++ {
+		ts, err := taskgen.Mixed(rand.New(rand.NewSource(seed)), cfg, 0.8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ts.NumHC() == h {
+			return ts
+		}
+	}
+	b.Fatalf("no seed in [1, 1000] draws a set with %d HC tasks", h)
+	return nil
 }
 
 // BenchmarkObjectiveBounds measures the full-recompute path under the

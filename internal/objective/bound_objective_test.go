@@ -7,26 +7,9 @@ import (
 	"testing"
 
 	"chebymc/internal/core"
-	"chebymc/internal/edfvd"
 	"chebymc/internal/mc"
 	"chebymc/internal/stats"
 )
-
-// refFitnessBound is refFitness generalised to an arbitrary bound — the
-// core.ApplyBound reference path the engine's bound threading is pinned
-// against.
-func refFitnessBound(ts *mc.TaskSet, requireLC bool, b stats.Bound) func([]float64) float64 {
-	return func(g []float64) float64 {
-		a, err := core.ApplyBound(ts, g, b)
-		if err != nil {
-			return math.Inf(-1)
-		}
-		if requireLC && !edfvd.Schedulable(a.TaskSet).Schedulable {
-			return math.Inf(-1)
-		}
-		return a.Objective
-	}
-}
 
 // testBounds are the bound engines the equivalence tests sweep.
 func testBounds() []stats.Bound {
@@ -38,29 +21,31 @@ func testBounds() []stats.Bound {
 	}
 }
 
-// TestFitnessBoundMatchesApplyPath: under every bound the engine's full
-// evaluation must equal the core.ApplyBound reference to the last bit.
+// TestFitnessBoundMatchesApplyPath: under every bound, with RequireLC
+// off and on, the engine's full evaluation must equal the core.ApplyBound
+// reference to the last bit — on random genomes, on every set's Eq. 9
+// edge genomes, and on the hand-built edge set with its σ = 0 task.
 func TestFitnessBoundMatchesApplyPath(t *testing.T) {
 	for _, b := range testBounds() {
-		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			r := rand.New(rand.NewSource(23))
-			for set := 0; set < 20; set++ {
-				ts := randomSet(t, r, set%2 == 0)
-				if ts.NumHC() == 0 {
-					continue
-				}
-				ref := refFitnessBound(ts, false, b)
-				e, err := New(ts, Options{Bound: b})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for trial := 0; trial < 20; trial++ {
-					g := randomGenome(r, ts)
-					got, want := e.Fitness(g), ref(g)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("set %d trial %d: Fitness = %g, reference = %g", set, trial, got, want)
+			for _, requireLC := range []bool{false, true} {
+				r := rand.New(rand.NewSource(23))
+				sets := []*mc.TaskSet{edgeSet(t)}
+				for set := 0; set < 20; set++ {
+					if ts := randomSet(t, r, set%2 == 0); ts.NumHC() > 0 {
+						sets = append(sets, ts)
 					}
+				}
+				for _, ts := range sets {
+					e, err := New(ts, Options{RequireLC: requireLC, Bound: b})
+					if err != nil {
+						t.Fatal(err)
+					}
+					genomes := edgeGenomes(ts)
+					for trial := 0; trial < 20; trial++ {
+						genomes = append(genomes, randomGenome(r, ts))
+					}
+					assertMatchesRef(t, e, refFitness(ts, requireLC, b), genomes)
 				}
 			}
 		})
@@ -92,9 +77,8 @@ func TestNilBoundIsCantelli(t *testing.T) {
 	}
 }
 
-// TestBoundSeparation: evaluators built over different bounds must not
-// share cached state — each carries its own generation cache, and only
-// the Cantelli default takes the inlined fast path.
+// TestBoundSeparation: only the Cantelli default takes the inlined fast
+// path; every other bound goes through its own P.
 func TestBoundSeparation(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	ts := randomSet(t, r, false)
@@ -128,7 +112,6 @@ func TestFitnessAllocationFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			g := randomGenome(r, ts)
-			e.Fitness(g) // warm the scratch pool
 			if allocs := testing.AllocsPerRun(200, func() { e.Fitness(g) }); allocs != 0 {
 				t.Fatalf("Fitness allocates %g times per call, want 0", allocs)
 			}

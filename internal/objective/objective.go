@@ -9,71 +9,30 @@
 // objective is a product of per-task bound factors (1 − b.P(n_i), with
 // the Cantelli 1/(1+n_i²) as the default b — Options.Bound swaps in any
 // stats.Bound) times a function of the running HC utilisation sum
-// Σ (ACET_i+n_i·σ_i)/P_i.
-// An Evaluator therefore
+// Σ (ACET_i+n_i·σ_i)/P_i. An Evaluator hoists the per-HC-task invariants
+// (ACET_i, σ_i, C^HI_i, P_i) and the genome-independent utilisations
+// (U^HI_HC, U^LO_LC) once at construction; Fitness then scores a genome
+// in one left-to-right pass over its genes, carrying the Eq. 10 product
+// and the Eq. 11 sum in two locals.
 //
-//   - hoists the per-HC-task invariants (ACET_i, σ_i, C^HI_i, P_i) and the
-//     genome-independent utilisations (U^HI_HC, U^LO_LC) once at
-//     construction,
-//   - evaluates a genome straight into pre-sized scratch with zero
-//     per-call heap allocation (Fitness),
-//   - re-scores GA offspring incrementally from the parent's cached
-//     per-gene terms and left-to-right prefix product/sum arrays, so only
-//     the changed genes are re-derived (the ga.Derived contract), and
-//   - serves unmodified copies (Lo > Hi) straight from the parent's
-//     cached fitness, with no recomputation at all.
-//
-// Parent states live in a generation cache: the states of exactly the
-// genomes scored by the most recent FitnessBatch call, indexed by the
-// address of the genome's first gene and verified by exact genome
-// comparison (a state is a pure function of genome content, so a
-// verified match can never return a stale score). That matches the GA's
-// breeding structure — parents always come from the immediately
-// preceding generation — and costs two fixed-size maps recycled every
-// batch, instead of the digest-keyed, ever-growing memo cache this
-// engine used previously: at the paper's genome lengths (4–8 HC tasks)
-// hashing plus locking plus unbounded insertion cost more than the full
-// recomputation it saved, and its allocations dominated the Fig. 4/5
-// sweep's memory profile.
-//
-// Everything is bit-identical to the reference path
-// core.Apply + edfvd.Schedulable by construction: the same expressions
-// are evaluated in the same order (prefix arrays store exactly the
-// left-to-right partial results the reference loops produce, so resuming
-// a product at the first changed gene reproduces the full recomputation
-// bit for bit), and the property tests in this package pin it.
+// Fitness is bit-identical to the reference path
+// core.ApplyBound + edfvd.Schedulable + core.ObjectiveValue by
+// construction — the same expressions are evaluated in the same order —
+// and the property tests in this package pin it. At the paper's genome
+// lengths one pass costs less than any bookkeeping that would let a GA
+// child reuse its parent's partial results, so there is none: the
+// Evaluator holds no mutable state.
 package objective
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"chebymc/internal/core"
 	"chebymc/internal/edfvd"
-	"chebymc/internal/ga"
 	"chebymc/internal/mc"
-	"chebymc/internal/obs"
-	"chebymc/internal/par"
 	"chebymc/internal/stats"
 )
-
-// obsMemoEvicted counts states the generation cache dropped to stay under
-// its cap — the signal a long-running process (mcserve) watches to confirm
-// the engine's memory is bounded. Flushed at flip time, never per genome.
-var obsMemoEvicted = obs.Default.Counter("objective_memo_evicted_total",
-	"genome states evicted from the objective engine's generation cache to respect MemoCap")
-
-// DefaultMemoCap bounds the states a generation cache retains (live
-// previous-batch entries plus the recycling free list) when Options leaves
-// MemoCap zero. It sits far above the paper's population sizes (60), so
-// batch sweeps never evict — behaviour under the cap is bit-identical by
-// construction — while a pathological caller (huge populations, or a
-// daemon reusing one Evaluator across requests) stays bounded at
-// cap · (5·genes+2) floats.
-const DefaultMemoCap = 4096
 
 // Options configures an Evaluator.
 type Options struct {
@@ -81,57 +40,16 @@ type Options struct {
 	// task set's actual LC load (Eq. 8) infeasible — the acceptance-ratio
 	// configuration of Fig. 6.
 	RequireLC bool
-	// DisableMemo turns the cached-state reuse off: every genome is a
-	// full recomputation, regardless of provenance. Intended for the
-	// equivalence tests that pin cached == uncached scoring.
-	DisableMemo bool
 	// Bound selects the concentration inequality behind the Eq. 10
 	// per-task factor. nil selects core.DefaultBound() (Cantelli), which
 	// reproduces the historical engine bit for bit.
 	Bound stats.Bound
-	// MemoCap bounds the number of genome states the generation cache
-	// retains; 0 selects DefaultMemoCap, a negative value disables the
-	// cap. Evicting a state only forfeits incremental re-scoring for its
-	// descendants (they fall back to full recomputation, which is
-	// bit-identical), so the cap changes memory, never results.
-	MemoCap int
 }
-
-// state is one genome's cached evaluation. All float storage lives in a
-// single flat slice so an entry costs one allocation:
-//
-//	genome | term | u | prefNS | prefU
-//
-// term[i] is the Eq. 10 factor 1 − bound.P(n_i) and u[i] the LO
-// utilisation (ACET_i+n_i·σ_i)/P_i of HC task i; both are NaN when gene i
-// is infeasible (Eq. 9 violation or non-positive budget). prefNS[k] and
-// prefU[k] are the exact left-to-right partial product/sum over genes
-// [0, k) — the same intermediate values core.SystemMSProb and
-// mc.TaskSet.Util produce — so prefNS[k] is valid whenever no gene < k is
-// infeasible, and a delta evaluation can resume at the first changed
-// gene.
-type state struct {
-	flat []float64
-	h    int
-	bad  int // count of infeasible genes
-	fit  float64
-}
-
-func newState(h int) *state {
-	return &state{flat: make([]float64, 5*h+2), h: h}
-}
-
-func (s *state) genome() []float64 { return s.flat[0:s.h] }
-func (s *state) term() []float64   { return s.flat[s.h : 2*s.h] }
-func (s *state) u() []float64      { return s.flat[2*s.h : 3*s.h] }
-func (s *state) prefNS() []float64 { return s.flat[3*s.h : 4*s.h+1] }
-func (s *state) prefU() []float64  { return s.flat[4*s.h+1 : 5*s.h+2] }
 
 // Evaluator scores Eq. 13 for n-vectors over the HC tasks of one task
-// set. It is safe for concurrent FitnessBatch/Fitness calls when the
-// workers argument is > 1; callers passing workers ≤ 1 promise the call
-// is externally serialised (the ga.Run evaluation loop is). The task
-// set must not change while the Evaluator is in use.
+// set. It is read-only after New, so any number of goroutines may call
+// Fitness concurrently. The task set must not change while the Evaluator
+// is in use.
 type Evaluator struct {
 	// h is the number of HC tasks (the genome length); inv packs their
 	// invariants — ACET_i, σ_i, C^HI_i, P_i — four per task in task-set
@@ -151,11 +69,6 @@ type Evaluator struct {
 	// bit-identical).
 	bound    stats.Bound
 	cantelli bool
-
-	gens    *genCache // previous-batch states; nil when disabled
-	scratch sync.Pool // *state for full evaluations outside the cache
-
-	hits, fulls, deltas atomic.Uint64
 }
 
 // New builds an Evaluator for the HC tasks of ts. It returns an error
@@ -176,22 +89,10 @@ func New(ts *mc.TaskSet, opts Options) (*Evaluator, error) {
 			e.uLCLO += t.ULO()
 		}
 	}
-	h := len(e.inv) / 4
-	e.h = h
-	if h == 0 {
+	e.h = len(e.inv) / 4
+	if e.h == 0 {
 		return nil, fmt.Errorf("objective: task set has no HC tasks")
 	}
-	if !opts.DisableMemo {
-		cap := opts.MemoCap
-		if cap == 0 {
-			cap = DefaultMemoCap
-		}
-		if cap < 0 {
-			cap = 0 // unbounded
-		}
-		e.gens = newGenCache(cap)
-	}
-	e.scratch.New = func() any { return newState(h) }
 	return e, nil
 }
 
@@ -230,317 +131,34 @@ func (e *Evaluator) gene(n float64, i int) (term, u float64) {
 	return term, w / v[3]
 }
 
-// compute fills st with the evaluation of g. With a nil parent every
-// gene is derived fresh; otherwise genes outside [lo, hi] are copied
-// from parent (g is guaranteed identical there) and only the changed
-// range is re-derived. The prefix arrays are resumed at lo from the
-// parent's exact partial results, so both paths produce the same bits.
-func (e *Evaluator) compute(st *state, g []float64, parent *state, lo, hi int) {
-	h := st.h
-	if parent == nil {
-		lo, hi = 0, h-1
-	} else if lo > hi {
-		lo, hi = h, h-1 // unmodified copy: reuse everything
-	}
-	term, u := st.term(), st.u()
-	if parent != nil {
-		// One flat copy beats six ranged ones at these genome lengths:
-		// the gene loop overwrites [lo, hi] and the resume loop below
-		// overwrites every prefix past lo, so copying them is harmless.
-		st.bad = parent.bad
-		if st.bad != 0 {
-			// Un-count the parent's infeasible genes inside the re-derived
-			// range; a clean parent has none, so the scan is skipped.
-			pterm := parent.term()
-			for i := lo; i <= hi; i++ {
-				if math.IsNaN(pterm[i]) {
-					st.bad--
-				}
-			}
+// Fitness scores one genome — the first NumGenes genes of g — with zero
+// heap allocations. It satisfies the ga.Problem.Fitness contract: it
+// neither retains nor mutates g, and it returns −Inf for a genome with
+// an infeasible gene (a negative n, an Eq. 9 violation or a
+// non-positive budget) or, under RequireLC, an Eq. 8 failure.
+func (e *Evaluator) Fitness(g []float64) float64 {
+	// The Eq. 10 product Π(1−bound) and the Eq. 11 sum Σ U^LO_HC, in
+	// the left-to-right order of core.SystemMSProb and mc.TaskSet.Util.
+	ns, uHCLO := 1.0, 0.0
+	for i, n := range g[:e.h] {
+		term, u := e.gene(n, i)
+		if math.IsNaN(term) {
+			return math.Inf(-1)
 		}
-		copy(st.flat, parent.flat)
-		copy(st.genome(), g)
-	} else {
-		copy(st.genome(), g)
-		st.bad = 0
-		st.prefNS()[0] = 1
-		st.prefU()[0] = 0
+		ns *= term
+		uHCLO += u
 	}
-	for i := lo; i <= hi; i++ {
-		ti, ui := e.gene(g[i], i)
-		term[i], u[i] = ti, ui
-		if math.IsNaN(ti) {
-			st.bad++
-		}
-	}
-	// Resume the left-to-right Eq. 10 product and Eq. 7 sum at the first
-	// changed gene; per-gene values beyond hi are the parent's cached
-	// terms, so this loop is memory traffic, not re-derivation.
-	prefNS, prefU := st.prefNS(), st.prefU()
-	for i := lo; i < h; i++ {
-		prefNS[i+1] = prefNS[i] * term[i]
-		prefU[i+1] = prefU[i] + u[i]
-	}
-	st.fit = e.finish(st)
+	return e.finish(1-ns, uHCLO)
 }
 
-// finish turns a filled state into the fitness value, in the same
-// operation order as the reference path: P^MS_sys = 1 − Π(1−bound)
-// (core.SystemMSProb), max U^LO_LC from Eqs. 11–12 (core.MaxULCLO), the
+// finish turns P^MS_sys = 1 − Π(1−bound) (core.SystemMSProb) and the HC
+// LO utilisation into the fitness value, in the same operation order as
+// the reference path: max U^LO_LC from Eqs. 11–12 (core.MaxULCLO), the
 // optional Eq. 8 feasibility gate (edfvd.Schedulable), and Eq. 13 via
 // core.ObjectiveValue.
-func (e *Evaluator) finish(st *state) float64 {
-	if st.bad > 0 {
-		return math.Inf(-1)
-	}
-	h := st.h
-	pms := 1 - st.prefNS()[h]
-	uHCLO := st.prefU()[h]
+func (e *Evaluator) finish(pms, uHCLO float64) float64 {
 	if e.requireLC && !edfvd.SchedulableUtil(e.uLCLO, uHCLO, e.uHCHI, 0).Schedulable {
 		return math.Inf(-1)
 	}
 	return core.ObjectiveValue(pms, core.MaxULCLO(uHCLO, e.uHCHI))
-}
-
-// Fitness scores one genome by full recomputation into pooled scratch —
-// zero heap allocations per call in steady state. It satisfies the
-// ga.Problem.Fitness contract and is the reference the delta/copy paths
-// are pinned against.
-func (e *Evaluator) Fitness(g []float64) float64 {
-	st := e.scratch.Get().(*state)
-	e.compute(st, g, nil, 0, 0)
-	fit := st.fit
-	e.scratch.Put(st)
-	return fit
-}
-
-// score kinds, tallied per batch (serial path) or atomically (parallel
-// path) so the hot loop itself touches no shared counters.
-const (
-	scoreHit = iota // unmodified copy served from the parent's fitness
-	scoreDelta
-	scoreFull
-)
-
-// FitnessBatch implements ga.BatchFitness: each genome is served from
-// its parent's cached fitness (unmodified copies), re-scored
-// incrementally from the parent's cached state, or fully recomputed, in
-// that order of preference. Scores are bit-identical across the three
-// paths and for every workers value.
-func (e *Evaluator) FitnessBatch(batch []ga.Derived, out []float64, workers int) {
-	if e.gens == nil {
-		// Cached-state reuse disabled: full recomputation for everything.
-		if workers > 1 && len(batch) > 1 {
-			_, _ = par.MapCtx(context.Background(), workers, len(batch), func(i int) (struct{}, error) {
-				out[i] = e.Fitness(batch[i].Genome)
-				return struct{}{}, nil
-			})
-		} else {
-			for i := range batch {
-				out[i] = e.Fitness(batch[i].Genome)
-			}
-		}
-		e.fulls.Add(uint64(len(batch)))
-		return
-	}
-	if workers > 1 && len(batch) > 1 {
-		_, _ = par.MapCtx(context.Background(), workers, len(batch), func(i int) (struct{}, error) {
-			fit, kind := e.score(batch[i], true)
-			out[i] = fit
-			switch kind {
-			case scoreHit:
-				e.hits.Add(1)
-			case scoreDelta:
-				e.deltas.Add(1)
-			default:
-				e.fulls.Add(1)
-			}
-			return struct{}{}, nil
-		})
-	} else {
-		var hits, fulls, deltas uint64
-		for i := range batch {
-			fit, kind := e.score(batch[i], false)
-			out[i] = fit
-			switch kind {
-			case scoreHit:
-				hits++
-			case scoreDelta:
-				deltas++
-			default:
-				fulls++
-			}
-		}
-		e.hits.Add(hits)
-		e.fulls.Add(fulls)
-		e.deltas.Add(deltas)
-	}
-	// This batch's states become the next batch's parents.
-	e.gens.flip()
-}
-
-// score evaluates one derived genome and records its state for the next
-// batch. conc marks calls from concurrent scorers, which must lock the
-// generation cache's mutable side.
-func (e *Evaluator) score(d ga.Derived, conc bool) (float64, int) {
-	var parent *state
-	if d.Parent != nil {
-		parent = e.gens.lookup(d.Parent)
-	}
-	if parent != nil && d.Lo > d.Hi {
-		// Unmodified copy: the genome is byte-identical to the parent, so
-		// the cached fitness is the full recomputation's result bit for
-		// bit. The state is still duplicated under the child's address so
-		// grandchildren can re-score incrementally.
-		st := e.gens.take(e, conc)
-		copy(st.flat, parent.flat)
-		st.bad, st.fit = parent.bad, parent.fit
-		e.gens.put(&d.Genome[0], st, conc)
-		return parent.fit, scoreHit
-	}
-	st := e.gens.take(e, conc)
-	kind := scoreFull
-	if parent != nil {
-		kind = scoreDelta
-		e.compute(st, d.Genome, parent, d.Lo, d.Hi)
-	} else {
-		e.compute(st, d.Genome, nil, 0, 0)
-	}
-	e.gens.put(&d.Genome[0], st, conc)
-	return st.fit, kind
-}
-
-// BatchStats implements ga.BatchStats.
-func (e *Evaluator) BatchStats() (hits, fulls, deltas uint64) {
-	return e.hits.Load(), e.fulls.Load(), e.deltas.Load()
-}
-
-// genCache holds the states of the genomes scored by the most recent
-// FitnessBatch call, keyed by the address of each genome's first gene.
-// The address is an index, not the proof: lookup verifies the cached
-// genome matches the parent bit for bit, so a recycled allocation can
-// never surface a stale state (and a verified state is valid for any
-// slice with that content — states are pure functions of the genome).
-// Entries live in parallel key/state slices scanned linearly — batches
-// are population-sized (tens of genomes), where a pointer scan beats a
-// map's hashing, write barriers and iteration. Two entry sets ping-pong
-// per batch and the states they drop are recycled through a free list,
-// so steady-state batch scoring allocates nothing.
-type genCache struct {
-	mu       sync.Mutex // guards cur and free on concurrent paths
-	prevKeys []*float64
-	prevSts  []*state
-	curKeys  []*float64
-	curSts   []*state
-	free     []*state
-	// cap bounds the states retained across flips (live previous batch
-	// plus free list); 0 means unbounded. Enforced in flip, so the
-	// per-genome hot path never sees it.
-	cap int
-}
-
-func newGenCache(cap int) *genCache { return &genCache{cap: cap} }
-
-// lookup returns the previous batch's state for parent, or nil. The
-// previous entries are read-only between flips, so no lock is needed
-// even concurrently.
-func (c *genCache) lookup(parent []float64) *state {
-	key := &parent[0]
-	for i, k := range c.prevKeys {
-		if k == key {
-			if st := c.prevSts[i]; equalGenomes(st.genome(), parent) {
-				return st
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-// take returns a recycled state for the evaluator's genome length,
-// growing the free list a block at a time when it runs dry (an
-// evaluator's working set is two batches of states; block allocation
-// keeps the object count low for the GC).
-func (c *genCache) take(e *Evaluator, conc bool) *state {
-	if conc {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	if len(c.free) == 0 {
-		const block = 16
-		sts := make([]state, block)
-		flat := make([]float64, block*(5*e.h+2))
-		for i := range sts {
-			sts[i].flat, flat = flat[:5*e.h+2:5*e.h+2], flat[5*e.h+2:]
-			sts[i].h = e.h
-			c.free = append(c.free, &sts[i])
-		}
-	}
-	n := len(c.free)
-	st := c.free[n-1]
-	c.free = c.free[:n-1]
-	return st
-}
-
-// put records a scored genome's state under its address.
-func (c *genCache) put(key *float64, st *state, conc bool) {
-	if conc {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-	}
-	c.curKeys = append(c.curKeys, key)
-	c.curSts = append(c.curSts, st)
-}
-
-// flip retires the previous batch's states to the free list and
-// promotes the current batch's. Called between batches, so it needs no
-// lock. When a cap is set, the retained working set (live previous batch
-// plus free list) is trimmed here: the free list first — dropping pure
-// scratch loses nothing — then the tail of the live batch, whose
-// descendants simply fall back to full recomputation (bit-identical by
-// the engine's equivalence contract). Evictions are counted once per
-// flip, so the per-genome path never touches the counter.
-func (c *genCache) flip() {
-	c.free = append(c.free, c.prevSts...)
-	c.prevKeys, c.curKeys = c.curKeys, c.prevKeys[:0]
-	c.prevSts, c.curSts = c.curSts, c.prevSts[:0]
-	if c.cap <= 0 {
-		return
-	}
-	evicted := 0
-	if over := len(c.prevSts) + len(c.free) - c.cap; over > 0 {
-		drop := min(over, len(c.free))
-		for i := len(c.free) - drop; i < len(c.free); i++ {
-			c.free[i] = nil
-		}
-		c.free = c.free[:len(c.free)-drop]
-		evicted += drop
-	}
-	if over := len(c.prevSts) - c.cap; over > 0 {
-		keep := c.cap
-		for i := keep; i < len(c.prevSts); i++ {
-			c.prevKeys[i], c.prevSts[i] = nil, nil
-		}
-		c.prevKeys = c.prevKeys[:keep]
-		c.prevSts = c.prevSts[:keep]
-		evicted += over
-	}
-	if evicted > 0 {
-		obsMemoEvicted.Add(uint64(evicted))
-	}
-}
-
-// equalGenomes compares gene vectors bit-for-bit (NaN-safe: GA genomes
-// never contain NaN, and distinct NaN payloads must not compare equal
-// for caching purposes anyway, so == per gene is exactly right).
-func equalGenomes(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

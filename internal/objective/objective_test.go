@@ -4,28 +4,30 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"chebymc/internal/core"
 	"chebymc/internal/edfvd"
-	"chebymc/internal/ga"
 	"chebymc/internal/mc"
+	"chebymc/internal/stats"
 	"chebymc/internal/taskgen"
 )
 
-// refFitness is the seed fitness path the engine replaces — the exact
-// closure policy.ChebyshevGA used before this engine existed. Every test
-// here pins the engine against it bit for bit.
-func refFitness(ts *mc.TaskSet, requireLC bool) func([]float64) float64 {
+// refFitness is the reference the engine replaces: core.ApplyBound
+// materialises the assignment, edfvd.Schedulable gates it under
+// RequireLC, and core.ObjectiveValue scores it. Every test here pins the
+// engine against it bit for bit.
+func refFitness(ts *mc.TaskSet, requireLC bool, b stats.Bound) func([]float64) float64 {
 	return func(g []float64) float64 {
-		a, err := core.Apply(ts, g)
+		a, err := core.ApplyBound(ts, g, b)
 		if err != nil {
 			return math.Inf(-1)
 		}
 		if requireLC && !edfvd.Schedulable(a.TaskSet).Schedulable {
 			return math.Inf(-1)
 		}
-		return a.Objective
+		return core.ObjectiveValue(a.PMS, a.MaxULCLO)
 	}
 }
 
@@ -68,9 +70,68 @@ func randomGenome(r *rand.Rand, ts *mc.TaskSet) []float64 {
 	return g
 }
 
+// edgeGenomes puts genes on the Eq. 9 boundary: for k = 0..3 the gene
+// is n = 0, n = NMax exactly, NMax·(1 + Eq9Slack/2) (inside the slack, so
+// the budget snaps to C^HI) and NMax·(1 + 2·Eq9Slack) (beyond C^HI by
+// more than the slack whenever ACET < C^HI/2). Each edge is applied to
+// one gene at a time, the others at 0, and then to every gene at once.
+// σ = 0 tasks (NMax = +Inf, budget pinned at ACET) take n = 25·k.
+func edgeGenomes(ts *mc.TaskSet) [][]float64 {
+	hcs := ts.ByCrit(mc.HC)
+	at := func(task mc.Task, k int) float64 {
+		nmax := core.NMax(task)
+		if math.IsInf(nmax, 1) {
+			return 25 * float64(k)
+		}
+		return [...]float64{0, nmax, nmax * (1 + core.Eq9Slack/2), nmax * (1 + 2*core.Eq9Slack)}[k]
+	}
+	var out [][]float64
+	for k := 0; k < 4; k++ {
+		all := make([]float64, len(hcs))
+		for i, task := range hcs {
+			all[i] = at(task, k)
+			one := make([]float64, len(hcs))
+			one[i] = all[i]
+			out = append(out, one)
+		}
+		out = append(out, all)
+	}
+	return out
+}
+
+// edgeSet is a hand-built set for the Eq. 9 boundaries: one σ = 0 HC
+// task and two with ACET < C^HI/2, plus LC load for the RequireLC gate.
+func edgeSet(t *testing.T) *mc.TaskSet {
+	t.Helper()
+	ts, err := mc.NewTaskSet([]mc.Task{
+		{ID: 1, Crit: mc.HC, CLO: 4, CHI: 8, Period: 20, Profile: mc.Profile{ACET: 4, Sigma: 0}},
+		{ID: 2, Crit: mc.HC, CLO: 10, CHI: 30, Period: 100, Profile: mc.Profile{ACET: 10, Sigma: 2}},
+		{ID: 3, Crit: mc.HC, CLO: 4, CHI: 20, Period: 200, Profile: mc.Profile{ACET: 4, Sigma: 1.5}},
+		{ID: 4, Crit: mc.LC, CLO: 2, CHI: 2, Period: 10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ts
+}
+
+// assertMatchesRef checks e.Fitness against the reference for each
+// genome, comparing bits so −Inf, ±0 and NaN payloads all count.
+func assertMatchesRef(t *testing.T, e *Evaluator, ref func([]float64) float64, genomes [][]float64) {
+	t.Helper()
+	for gi, g := range genomes {
+		got, want := e.Fitness(g), ref(g)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("genome %d %v: Fitness = %v, reference = %v", gi, g, got, want)
+		}
+	}
+}
+
 // TestFitnessMatchesApplyPath: the engine's full evaluation must equal
-// the core.Apply + edfvd.Schedulable reference to the last bit, over
-// random task sets × genomes × RequireLC.
+// the core.ApplyBound + edfvd.Schedulable + core.ObjectiveValue
+// reference to the last bit, over random task sets × genomes ×
+// RequireLC, with every set's Eq. 9 edge genomes included; the edges
+// subtest pins what the boundaries mean on a hand-built set.
 func TestFitnessMatchesApplyPath(t *testing.T) {
 	for _, mixed := range []bool{false, true} {
 		for _, requireLC := range []bool{false, true} {
@@ -81,23 +142,48 @@ func TestFitnessMatchesApplyPath(t *testing.T) {
 					if ts.NumHC() == 0 {
 						continue
 					}
-					ref := refFitness(ts, requireLC)
 					e, err := New(ts, Options{RequireLC: requireLC})
 					if err != nil {
 						t.Fatal(err)
 					}
+					genomes := edgeGenomes(ts)
 					for trial := 0; trial < 25; trial++ {
-						g := randomGenome(r, ts)
-						want := ref(g)
-						if got := e.Fitness(g); got != want {
-							t.Fatalf("set %d trial %d: Fitness = %v, want %v (genome %v)",
-								set, trial, got, want, g)
-						}
+						genomes = append(genomes, randomGenome(r, ts))
 					}
+					assertMatchesRef(t, e, refFitness(ts, requireLC, core.DefaultBound()), genomes)
 				}
 			})
 		}
 	}
+	t.Run("edges", func(t *testing.T) {
+		ts := edgeSet(t)
+		e, err := New(ts, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcs := ts.ByCrit(mc.HC)
+		for i := 1; i < len(hcs); i++ { // hcs[0] is the σ = 0 task
+			task := hcs[i]
+			nmax := core.NMax(task)
+			snap := make([]float64, len(hcs))
+			snap[i] = nmax * (1 + core.Eq9Slack/2)
+			a, err := core.Apply(ts, snap)
+			if err != nil {
+				t.Fatalf("task %d: NMax·(1+Eq9Slack/2) rejected: %v", task.ID, err)
+			}
+			if got := a.TaskSet.ByCrit(mc.HC)[i].CLO; got != task.CHI {
+				t.Errorf("task %d: NMax·(1+Eq9Slack/2) budget %v, want C^HI %v", task.ID, got, task.CHI)
+			}
+			if math.IsInf(e.Fitness(snap), -1) {
+				t.Errorf("task %d: NMax·(1+Eq9Slack/2) scored infeasible", task.ID)
+			}
+			over := make([]float64, len(hcs))
+			over[i] = nmax * (1 + 2*core.Eq9Slack)
+			if got := e.Fitness(over); !math.IsInf(got, -1) {
+				t.Errorf("task %d: NMax·(1+2·Eq9Slack) scored %v, want −Inf", task.ID, got)
+			}
+		}
+	})
 }
 
 // TestFitnessInfeasibleGenomes: out-of-contract genomes (negative n,
@@ -105,7 +191,7 @@ func TestFitnessMatchesApplyPath(t *testing.T) {
 func TestFitnessInfeasibleGenomes(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	ts := randomSet(t, r, false)
-	ref := refFitness(ts, false)
+	ref := refFitness(ts, false, core.DefaultBound())
 	e, err := New(ts, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -130,138 +216,43 @@ func TestFitnessInfeasibleGenomes(t *testing.T) {
 	}
 }
 
-// TestDeltaMatchesFull is the tentpole property test: incremental
-// re-scoring from a parent's cached state must equal full recomputation
-// to the last bit, over random task sets × genomes × change ranges —
-// including ranges that contain unchanged genes, empty ranges
-// (unmodified copies), and parents/children that are infeasible.
-func TestDeltaMatchesFull(t *testing.T) {
-	r := rand.New(rand.NewSource(23))
-	for set := 0; set < 30; set++ {
-		ts := randomSet(t, r, set%2 == 1)
-		if ts.NumHC() == 0 {
-			continue
-		}
-		requireLC := set%3 == 0
-		e, err := New(ts, Options{RequireLC: requireLC})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, err := New(ts, Options{RequireLC: requireLC, DisableMemo: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := ts.NumHC()
-		parent := randomGenome(r, ts)
-		// A chain of derivations: each child becomes the next parent, so
-		// cached states several deltas deep are exercised too.
-		for step := 0; step < 60; step++ {
-			lo := r.Intn(h)
-			hi := lo + r.Intn(h-lo)
-			child := append([]float64(nil), parent...)
-			switch r.Intn(5) {
-			case 0:
-				// Empty range: unmodified copy.
-				lo, hi = h, -1
-			case 1:
-				// Make one gene in range infeasible.
-				child[lo] = -1
-			case 2:
-				// Re-sample only part of the declared range (the range
-				// may legally over-approximate the real change).
-				child[lo] = randomGenome(r, ts)[lo]
-			default:
-				for i := lo; i <= hi; i++ {
-					child[i] = randomGenome(r, ts)[i]
-				}
-			}
-			batch := []ga.Derived{{Genome: child, Parent: parent, Lo: lo, Hi: hi}}
-			out := make([]float64, 1)
-			e.FitnessBatch(batch, out, 1)
-			want := full.Fitness(child)
-			if out[0] != want {
-				t.Fatalf("set %d step %d [%d,%d]: delta = %v, full = %v\nparent %v\nchild  %v",
-					set, step, lo, hi, out[0], want, parent, child)
-			}
-			if lo <= hi { // keep infeasible parents too — they must chain correctly
-				parent = child
-			}
-		}
-	}
-}
-
-// TestCopyHitsParentFitness: an unmodified copy (Lo > Hi) of a genome
-// scored in the previous batch must be served from the parent's cached
-// fitness — identical value, counted as a hit — and must itself be
-// usable as a parent for later deltas.
-func TestCopyHitsParentFitness(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	ts := randomSet(t, r, false)
-	e, err := New(ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := randomGenome(r, ts)
-	out := make([]float64, 1)
-	e.FitnessBatch([]ga.Derived{{Genome: g}}, out, 1)
-	want := out[0]
-	copyG := append([]float64(nil), g...)
-	e.FitnessBatch([]ga.Derived{{Genome: copyG, Parent: g, Lo: ts.NumHC(), Hi: -1}}, out, 1)
-	if out[0] != want {
-		t.Errorf("unmodified copy scored %v, want parent's %v", out[0], want)
-	}
-	hits, fulls, _ := e.BatchStats()
-	if hits != 1 || fulls != 1 {
-		t.Errorf("stats = (hits %d, fulls %d), want (1, 1)", hits, fulls)
-	}
-	// The copy's cached state must serve a delta in the next batch.
-	child := append([]float64(nil), copyG...)
-	child[0] = randomGenome(r, ts)[0]
-	e.FitnessBatch([]ga.Derived{{Genome: child, Parent: copyG, Lo: 0, Hi: 0}}, out, 1)
-	ref, err := New(ts, Options{DisableMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ref.Fitness(child); out[0] != want {
-		t.Errorf("delta from copied state = %v, want %v", out[0], want)
-	}
-	if _, _, deltas := e.BatchStats(); deltas != 1 {
-		t.Errorf("deltas = %d, want 1", deltas)
-	}
-}
-
-// TestWorkerInvariance: batch scoring must be bit-identical for any
-// worker count, memo on or off.
+// TestWorkerInvariance: one Evaluator shared by 8 goroutines must score
+// every genome exactly as a serial caller does, under every bound with
+// the RequireLC gate on. Run under -race it also proves Fitness touches
+// no shared mutable state.
 func TestWorkerInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	ts := randomSet(t, r, true)
-	if ts.NumHC() == 0 {
-		t.Skip("degenerate draw")
+	for ts.NumHC() == 0 {
+		ts = randomSet(t, r, true)
 	}
-	batch := make([]ga.Derived, 64)
-	for i := range batch {
-		batch[i] = ga.Derived{Genome: randomGenome(r, ts)}
+	genomes := edgeGenomes(ts)
+	for len(genomes) < 64 {
+		genomes = append(genomes, randomGenome(r, ts))
 	}
-	for _, disable := range []bool{false, true} {
-		var ref []float64
-		for _, workers := range []int{1, 4, 16} {
-			e, err := New(ts, Options{DisableMemo: disable})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out := make([]float64, len(batch))
-			e.FitnessBatch(batch, out, workers)
-			if ref == nil {
-				ref = out
-				continue
-			}
-			for i := range out {
-				if out[i] != ref[i] {
-					t.Errorf("memo=%v workers=%d: out[%d] = %v, want %v",
-						!disable, workers, i, out[i], ref[i])
-				}
-			}
+	for _, b := range testBounds() {
+		e, err := New(ts, Options{RequireLC: true, Bound: b})
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := make([]float64, len(genomes))
+		for i, g := range genomes {
+			want[i] = e.Fitness(g)
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, g := range genomes {
+					if got := e.Fitness(g); math.Float64bits(got) != math.Float64bits(want[i]) {
+						t.Errorf("%s: concurrent Fitness(genome %d) = %v, serial %v", b.Name(), i, got, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 
@@ -289,7 +280,7 @@ func TestZeroSigmaTasks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refFitness(ts, true)
+	ref := refFitness(ts, true, core.DefaultBound())
 	e, err := New(ts, Options{RequireLC: true})
 	if err != nil {
 		t.Fatal(err)
@@ -301,75 +292,5 @@ func TestZeroSigmaTasks(t *testing.T) {
 		if got := e.Fitness(g); got != want {
 			t.Fatalf("trial %d: Fitness = %v, want %v (genome %v)", trial, got, want, g)
 		}
-	}
-}
-
-// TestMemoCapBitIdentical: an evaluator whose generation cache is capped
-// far below the batch size must evict (the obs counter moves) yet score
-// every genome bit-identically to the uncached reference — eviction only
-// forfeits reuse, never changes results.
-func TestMemoCapBitIdentical(t *testing.T) {
-	r := rand.New(rand.NewSource(41))
-	ts := randomSet(t, r, true)
-	for ts.NumHC() == 0 {
-		ts = randomSet(t, r, true)
-	}
-	capped, err := New(ts, Options{MemoCap: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := New(ts, Options{DisableMemo: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := obsMemoEvicted.Value()
-	const batchSize = 16
-	parents := make([][]float64, batchSize)
-	for b := 0; b < 10; b++ {
-		batch := make([]ga.Derived, batchSize)
-		for i := range batch {
-			child := randomGenome(r, ts)
-			d := ga.Derived{Genome: child, Lo: 0, Hi: len(child) - 1}
-			if parents[i] != nil {
-				// Derive from last batch's genome at the same slot; the
-				// declared range legally over-approximates the change.
-				d.Parent = parents[i]
-			}
-			batch[i] = d
-			parents[i] = child
-		}
-		out := make([]float64, batchSize)
-		capped.FitnessBatch(batch, out, 1)
-		for i, d := range batch {
-			if want := full.Fitness(d.Genome); out[i] != want {
-				t.Fatalf("batch %d genome %d: capped = %v, want %v", b, i, out[i], want)
-			}
-		}
-	}
-	if after := obsMemoEvicted.Value(); after == before {
-		t.Errorf("MemoCap 2 over %d-genome batches evicted nothing", batchSize)
-	}
-}
-
-// TestMemoCapUnderCapNoEviction: the default cap sits far above paper
-// batch sizes, so a normal GA-sized workload must never evict.
-func TestMemoCapUnderCapNoEviction(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	ts := randomSet(t, r, false)
-	e, err := New(ts, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := obsMemoEvicted.Value()
-	for b := 0; b < 20; b++ {
-		batch := make([]ga.Derived, 60) // the paper's population size
-		for i := range batch {
-			batch[i] = ga.Derived{Genome: randomGenome(r, ts)}
-		}
-		out := make([]float64, len(batch))
-		e.FitnessBatch(batch, out, 1)
-	}
-	if after := obsMemoEvicted.Value(); after != before {
-		t.Errorf("default cap evicted %d states on a population-sized workload", after-before)
 	}
 }

@@ -1,15 +1,18 @@
 package policy
 
 // Golden-equivalence suite for the objective-engine rewiring of
-// ChebyshevGA: the batched/incremental/memoised Eq. 13 evaluation must
-// leave assignments byte-for-byte unchanged from the seed implementation
+// ChebyshevGA: the allocation-free Eq. 13 evaluation must leave
+// assignments byte-for-byte unchanged from the seed implementation
 // (refChebyshevAssign below carries the pre-engine fitness path
-// verbatim), for memoisation on and off and for Workers ∈ {1, 4}.
+// verbatim), with and without a genome-keyed memo in front of the
+// scorer and for Workers ∈ {1, 4}.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"chebymc/internal/core"
@@ -81,9 +84,45 @@ func assertAssignmentsEqual(t *testing.T, got, want core.Assignment) {
 	}
 }
 
+// memoFitness caches a fitness function by the exact bits of the genome
+// and counts the calls it serves from the cache. It is safe for the
+// GA's concurrent workers.
+type memoFitness struct {
+	mu    sync.Mutex
+	cache map[string]float64
+	hits  int
+}
+
+func (m *memoFitness) wrap(f func([]float64) float64) func([]float64) float64 {
+	m.cache = make(map[string]float64)
+	return func(g []float64) float64 {
+		key := make([]byte, 0, 8*len(g))
+		for _, x := range g {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(x))
+		}
+		m.mu.Lock()
+		v, ok := m.cache[string(key)]
+		if ok {
+			m.hits++
+		}
+		m.mu.Unlock()
+		if ok {
+			return v
+		}
+		v = f(g)
+		m.mu.Lock()
+		m.cache[string(key)] = v
+		m.mu.Unlock()
+		return v
+	}
+}
+
 // TestChebyshevGAGoldenEngine sweeps task sets × RequireLC × memo ×
 // workers and asserts each engine configuration reproduces the seed
-// assignment exactly.
+// assignment exactly. memo=false is Assign as shipped; memo=true puts
+// a genome-keyed cache in front of Evaluator.Fitness, so a repeated
+// genome is served its first score instead of a fresh pass — the
+// search must not notice, because a score depends on the genome alone.
 func TestChebyshevGAGoldenEngine(t *testing.T) {
 	gen := rand.New(rand.NewSource(42))
 	for set := 0; set < 6; set++ {
@@ -106,14 +145,18 @@ func TestChebyshevGAGoldenEngine(t *testing.T) {
 		requireLC := set%2 == 1 && ts.NumLC() > 0
 		base := ChebyshevGA{Config: ga.Config{PopSize: 20, Generations: 25}, RequireLC: requireLC}
 		want, refErr := refChebyshevAssign(base, ts, rand.New(rand.NewSource(int64(set+1))))
-		for _, noMemo := range []bool{false, true} {
+		for _, memo := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("set=%d/requireLC=%v/memo=%v/workers=%d", set, requireLC, !noMemo, workers)
+				name := fmt.Sprintf("set=%d/requireLC=%v/memo=%v/workers=%d", set, requireLC, memo, workers)
 				t.Run(name, func(t *testing.T) {
 					p := base
-					p.NoMemo = noMemo
 					p.Config.Workers = workers
-					got, err := p.Assign(ts, rand.New(rand.NewSource(int64(set+1))))
+					var m memoFitness
+					var wrap func(func([]float64) float64) func([]float64) float64
+					if memo {
+						wrap = m.wrap
+					}
+					got, err := p.assignWith(t.Context(), ts, rand.New(rand.NewSource(int64(set+1))), wrap)
 					if refErr != nil {
 						if err == nil {
 							t.Fatalf("reference errored (%v) but engine succeeded", refErr)
@@ -122,6 +165,9 @@ func TestChebyshevGAGoldenEngine(t *testing.T) {
 					}
 					if err != nil {
 						t.Fatal(err)
+					}
+					if memo && m.hits == 0 {
+						t.Fatal("memo served no repeated genome; the memo axis tests nothing")
 					}
 					assertAssignmentsEqual(t, got, want)
 				})

@@ -119,10 +119,6 @@ type ChebyshevGA struct {
 	// the task set's *actual* LC load (Eq. 8 with the set's U^LO_LC)
 	// infeasible — the acceptance-ratio configuration of Fig. 6.
 	RequireLC bool
-	// NoMemo disables the objective engine's genome-digest cache. The
-	// search is bit-identical either way (the equivalence tests pin it);
-	// this is a validation and debugging escape hatch, not a tuning knob.
-	NoMemo bool
 	// Bound selects the concentration inequality the objective engine
 	// scores Eq. 10 with; nil keeps the paper's Cantelli default (and the
 	// engine goldens bit-identical).
@@ -132,7 +128,7 @@ type ChebyshevGA struct {
 // Name implements Policy.
 func (p ChebyshevGA) Name() string { return "chebyshev-ga" + boundSuffix(p.Bound) }
 
-// Assign implements Policy. Fitness evaluation runs on the incremental
+// Assign implements Policy. Fitness evaluation runs on the allocation-free
 // Eq. 13 engine (internal/objective): the per-task invariants are hoisted
 // here, once, and the GA scores genomes without ever materialising an
 // assignment — core.Apply runs exactly once, on the winner.
@@ -144,6 +140,14 @@ func (p ChebyshevGA) Assign(ts *mc.TaskSet, r *rand.Rand) (core.Assignment, erro
 // generation, so a cancelled request abandons the search within one
 // generation's work instead of running all of them.
 func (p ChebyshevGA) AssignCtx(ctx context.Context, ts *mc.TaskSet, r *rand.Rand) (core.Assignment, error) {
+	return p.assignWith(ctx, ts, r, nil)
+}
+
+// assignWith is AssignCtx with an optional wrapper around the fitness
+// function the GA calls; nil scores every genome with Evaluator.Fitness
+// directly. The golden-engine tests wrap it in a genome-keyed memo to pin
+// that a score is a pure function of the genome.
+func (p ChebyshevGA) assignWith(ctx context.Context, ts *mc.TaskSet, r *rand.Rand, wrap func(func([]float64) float64) func([]float64) float64) (core.Assignment, error) {
 	hcs := ts.ByCrit(mc.HC)
 	if len(hcs) == 0 {
 		return core.Apply(ts, nil)
@@ -160,13 +164,17 @@ func (p ChebyshevGA) AssignCtx(ctx context.Context, ts *mc.TaskSet, r *rand.Rand
 		}
 		bounds[i] = ga.Bound{Lo: 0, Hi: math.Min(hi, nCap)}
 	}
-	eval, err := objective.New(ts, objective.Options{RequireLC: p.RequireLC, DisableMemo: p.NoMemo, Bound: p.Bound})
+	eval, err := objective.New(ts, objective.Options{RequireLC: p.RequireLC, Bound: p.Bound})
 	if err != nil {
 		return core.Assignment{}, err
 	}
+	fitness := eval.Fitness
+	if wrap != nil {
+		fitness = wrap(fitness)
+	}
 	cfg := fillGADefaults(p.Config)
 	cfg.Seed = r.Int63()
-	res, err := ga.RunCtx(ctx, ga.Problem{Bounds: bounds, Batch: eval}, cfg)
+	res, err := ga.RunCtx(ctx, ga.Problem{Bounds: bounds, Fitness: fitness}, cfg)
 	if err != nil {
 		return core.Assignment{}, err
 	}

@@ -22,8 +22,8 @@ import (
 //     clamp: p ≥ 1 → 0, and p ≤ 0 or NaN → +Inf (no finite n can force
 //     the tail below an impossible target).
 //   - Name is a short stable identifier used in tables, flags and the
-//     objective engine's memo digest; parameterised bounds additionally
-//     expose their parameters through BoundParams (see BoundDigest).
+//     serve cache digest; parameterised bounds additionally expose their
+//     parameters through BoundParams (see BoundDigest).
 type Bound interface {
 	// P bounds the overrun probability Pr[X > E[X] + n·σ].
 	P(n float64) float64
@@ -317,8 +317,8 @@ func BoundByName(name string) (Bound, error) {
 
 // BoundDigest fingerprints a bound's identity — its Name plus, for
 // parameterised bounds exposing BoundParams, the raw parameter bits — as
-// an FNV-1a hash. The objective engine folds it into its genome digest so
-// memoised scores cannot leak between bounds.
+// an FNV-1a hash. The serve layer folds it into its request digest so
+// cached assignments cannot leak between bounds.
 func BoundDigest(b Bound) uint64 {
 	const (
 		offset64 = 14695981039346656037
