@@ -30,12 +30,11 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable perf trajectory: runs the tier benchmarks (simulator,
-# GA, objective engine, multicore pipeline, and the Fig. 4/5 sweep) and
-# writes per-benchmark
-# ns/op and allocs/op means to BENCH_$(BENCH_N).json for cross-PR
-# comparison.
+# GA, objective engine, multicore pipeline, vmcpu kernels and the
+# Fig. 4/5 sweep) and writes per-benchmark ns/op and allocs/op medians to
+# BENCH_$(BENCH_N).json for cross-PR comparison.
 bench-json:
-	{ $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/sim ./internal/ga ./internal/objective ./internal/obs ./internal/serve ./internal/multicore ; \
+	{ $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/sim ./internal/ga ./internal/objective ./internal/obs ./internal/serve ./internal/multicore ./internal/vmcpu ; \
 	  $(GO) test -run '^$$' -bench 'Fig4$$|SimVal' -benchmem -count 3 . ; } \
 	| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 

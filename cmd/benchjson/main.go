@@ -1,7 +1,10 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON file, so the benchmark trajectory can be tracked
 // across PRs (BENCH_<n>.json at the repo root; see `make bench-json`).
-// Repeated -count runs of the same benchmark are aggregated into means.
+// Repeated -count runs of the same benchmark are aggregated per figure
+// into the median of their samples, so one outlying run (allocs/op of a
+// benchmark whose allocations depend on scheduling) cannot move the
+// gated figure.
 // Input lines are echoed to stdout so the tool can sit at the end of a
 // pipe without hiding the run.
 //
@@ -52,7 +55,7 @@ type accum struct {
 	pkg, name  string
 	samples    int
 	iterations int64
-	sums       map[string]float64 // unit → summed value
+	values     map[string][]float64 // unit → one value per sample
 }
 
 func main() {
@@ -230,7 +233,7 @@ func parse(sc *bufio.Scanner, echo io.Writer) (Report, error) {
 		key := pkg + " " + name
 		a := byKey[key]
 		if a == nil {
-			a = &accum{pkg: pkg, name: name, sums: map[string]float64{}}
+			a = &accum{pkg: pkg, name: name, values: map[string][]float64{}}
 			byKey[key] = a
 			order = append(order, key)
 		}
@@ -241,7 +244,7 @@ func parse(sc *bufio.Scanner, echo io.Writer) (Report, error) {
 			if err != nil {
 				continue
 			}
-			a.sums[f[i+1]] += v
+			a.values[f[i+1]] = append(a.values[f[i+1]], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -250,27 +253,40 @@ func parse(sc *bufio.Scanner, echo io.Writer) (Report, error) {
 	sort.Strings(order)
 	for _, key := range order {
 		a := byKey[key]
-		n := float64(a.samples)
 		b := Benchmark{
 			Pkg:         a.pkg,
 			Name:        a.name,
 			Samples:     a.samples,
 			Iterations:  a.iterations,
-			NsPerOp:     a.sums["ns/op"] / n,
-			BPerOp:      a.sums["B/op"] / n,
-			AllocsPerOp: a.sums["allocs/op"] / n,
+			NsPerOp:     median(a.values["ns/op"]),
+			BPerOp:      median(a.values["B/op"]),
+			AllocsPerOp: median(a.values["allocs/op"]),
 		}
-		for unit, sum := range a.sums {
+		for unit, vs := range a.values {
 			switch unit {
 			case "ns/op", "B/op", "allocs/op":
 			default:
 				if b.Metrics == nil {
 					b.Metrics = map[string]float64{}
 				}
-				b.Metrics[unit] = sum / n
+				b.Metrics[unit] = median(vs)
 			}
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
 	return rep, nil
+}
+
+// median returns the middle value of vs (the mean of the two middle
+// values for an even count), or 0 for none. It sorts vs in place.
+func median(vs []float64) float64 {
+	n := len(vs)
+	if n == 0 {
+		return 0
+	}
+	sort.Float64s(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }

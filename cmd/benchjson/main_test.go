@@ -65,6 +65,28 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseMedian checks that repeated samples aggregate to their median:
+// one outlying run cannot move the gated allocs/op figure.
+func TestParseMedian(t *testing.T) {
+	in := `pkg: chebymc/internal/sim
+BenchmarkReplicateBatch/width=32-2  	 100	 5000 ns/op	 800 B/op	 66 allocs/op
+BenchmarkReplicateBatch/width=32-2  	 100	 4000 ns/op	 700 B/op	 26 allocs/op
+BenchmarkReplicateBatch/width=32-2  	 100	 9000 ns/op	 900 B/op	 30 allocs/op
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 1 {
+		t.Fatalf("got %d benchmarks, want 1", len(rep.Benchmarks))
+	}
+	b := rep.Benchmarks[0]
+	if b.Samples != 3 || b.AllocsPerOp != 30 || b.NsPerOp != 5000 || b.BPerOp != 800 {
+		t.Errorf("samples=%d allocs/op=%g ns/op=%g B/op=%g, want 3, 30, 5000, 800",
+			b.Samples, b.AllocsPerOp, b.NsPerOp, b.BPerOp)
+	}
+}
+
 func TestParseEchoes(t *testing.T) {
 	var sb strings.Builder
 	if _, err := parse(bufio.NewScanner(strings.NewReader(sample)), &sb); err != nil {

@@ -63,7 +63,6 @@ func (q QSort) tailChunk() int {
 
 // Run implements Program.
 func (q QSort) Run(m *Machine, r *rand.Rand) float64 {
-	m.Reset()
 	arr := make([]int32, q.K)
 	for i := range arr {
 		arr[i] = int32(r.Intn(1 << 20))
@@ -80,8 +79,16 @@ func (q QSort) Run(m *Machine, r *rand.Rand) float64 {
 			arr[start+i] = base + int32(i)
 		}
 	}
-	basePtr := m.Alloc(int64(q.K))
-	quicksort(m, arr, basePtr, 0, q.K-1)
+	return q.Sort(m, arr)
+}
+
+// Sort resets m, sorts a in place with the instrumented quicksort and
+// returns the cycles it consumed. It is the measured part of Run, open to
+// chosen inputs (sorted, reverse, all-equal) that the generator rarely
+// draws.
+func (q QSort) Sort(m *Machine, a []int32) float64 {
+	m.Reset()
+	quicksort(m, a, m.Alloc(int64(len(a))), 0, len(a)-1)
 	return m.Cycles()
 }
 

@@ -14,11 +14,21 @@
 // the ACET and a long right tail far below the static WCET bound.
 package vmcpu
 
-import "math/rand"
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+)
 
 // Costs is the per-operation cycle cost model of a Machine. The default
 // values (see DefaultCosts) are typical of a simple in-order embedded core
 // in the ARM9 class, the kind of platform MEET models.
+//
+// A Machine counts events and prices them once, in Cycles. That total is
+// the same float64, bit for bit, as adding each cost as it happens
+// whenever every cost is a whole number and the total stays below 2⁵³:
+// every partial sum is then an exactly representable integer. All three
+// shipped models meet that condition.
 type Costs struct {
 	ALU        float64 // integer add/sub/logic/compare
 	Mul        float64 // integer multiply
@@ -97,8 +107,8 @@ func (c Costs) WorstMul() float64 { return 2 * c.Mul }
 
 // CacheConfig describes the direct-mapped data cache of a Machine.
 type CacheConfig struct {
-	Lines        int // number of cache lines (power of two recommended)
-	WordsPerLine int // words per line; addresses are word-granular
+	Lines        int // number of cache lines (power of two required)
+	WordsPerLine int // words per line, power of two required; addresses are word-granular
 }
 
 // DefaultCache returns the reference cache geometry: 1024 lines × 8 words
@@ -109,38 +119,52 @@ func DefaultCache() CacheConfig {
 
 // Machine is a cycle-accounting virtual CPU. Kernels report their abstract
 // operations (ALU ops, multiplies, loads with word addresses, branches with
-// site identifiers) and the machine accumulates cycles according to its
-// cost model, cache state and branch-predictor state.
+// site identifiers); the machine counts them, resolving each access
+// against its cache and each branch against its predictor, and Cycles
+// prices the counts with the cost model.
 //
 // A Machine is not safe for concurrent use; create one per goroutine.
 type Machine struct {
 	costs Costs
-	cache CacheConfig
 
-	cycles float64
-	tags   []int64
-	valid  []bool
-	pred   map[int]bool // 1-bit dynamic branch predictor, keyed by site
+	// Direct-mapped cache: word address a lives in line a>>lineShift,
+	// held in slot line&slotMask. tags[slot] is the resident line, or −1
+	// for an invalid slot.
+	lineShift uint
+	slotMask  int64
+	tags      []int64
+
+	// 1-bit dynamic branch predictor: pred[site] is the last outcome at
+	// site (false, not-taken, before the first). It grows to the highest
+	// site seen.
+	pred []bool
 
 	nextBase int64 // bump allocator for abstract array placement
 
-	// statistics
-	memAccesses int64
-	memMisses   int64
-	branches    int64
-	branchMiss  int64
+	// event counts since the last Reset
+	alu, mul, div, calls, rets int64
+	memHits, memMisses         int64
+	branches, branchMiss       int64
 }
 
 // NewMachine returns a Machine with the given cost model and cache
-// geometry. Zero/negative cache dimensions fall back to DefaultCache.
+// geometry. Zero/negative cache dimensions fall back to DefaultCache; a
+// dimension that is not a power of two panics.
 func NewMachine(costs Costs, cache CacheConfig) *Machine {
 	if cache.Lines <= 0 || cache.WordsPerLine <= 0 {
 		cache = DefaultCache()
 	}
-	m := &Machine{costs: costs, cache: cache}
-	m.tags = make([]int64, cache.Lines)
-	m.valid = make([]bool, cache.Lines)
-	m.pred = make(map[int]bool)
+	if bits.OnesCount(uint(cache.Lines)) != 1 || bits.OnesCount(uint(cache.WordsPerLine)) != 1 {
+		panic(fmt.Sprintf("vmcpu: cache geometry %d lines × %d words per line: both must be powers of two",
+			cache.Lines, cache.WordsPerLine))
+	}
+	m := &Machine{
+		costs:     costs,
+		lineShift: uint(bits.TrailingZeros(uint(cache.WordsPerLine))),
+		slotMask:  int64(cache.Lines - 1),
+		tags:      make([]int64, cache.Lines),
+	}
+	m.Reset()
 	return m
 }
 
@@ -150,29 +174,37 @@ func NewDefaultMachine() *Machine { return NewMachine(DefaultCosts(), DefaultCac
 // Costs returns the machine's cost model.
 func (m *Machine) Costs() Costs { return m.costs }
 
-// Reset clears the cycle counter, cache, branch predictor and statistics,
-// modelling a cold start of a new job instance.
+// Reset clears the event counts, cache, branch predictor and allocator,
+// modelling a cold start of a new job instance. It allocates nothing.
 func (m *Machine) Reset() {
-	m.cycles = 0
-	for i := range m.valid {
-		m.valid[i] = false
+	for i := range m.tags {
+		m.tags[i] = -1
 	}
-	m.pred = make(map[int]bool)
+	clear(m.pred)
 	m.nextBase = 0
-	m.memAccesses, m.memMisses = 0, 0
+	m.alu, m.mul, m.div, m.calls, m.rets = 0, 0, 0, 0, 0
+	m.memHits, m.memMisses = 0, 0
 	m.branches, m.branchMiss = 0, 0
 }
 
-// Cycles reports the cycles accumulated since the last Reset.
-func (m *Machine) Cycles() float64 { return m.cycles }
+// Cycles prices the events counted since the last Reset with the cost
+// model (see Costs for when this is exact).
+func (m *Machine) Cycles() float64 {
+	c := &m.costs
+	return float64(m.alu)*c.ALU + float64(m.mul)*c.Mul + float64(m.div)*c.Div +
+		float64(m.calls)*c.Call + float64(m.rets)*c.Ret +
+		float64(m.memHits)*c.MemHit + float64(m.memMisses)*c.MemMiss +
+		float64(m.branches)*c.Branch + float64(m.branchMiss)*c.BranchMiss
+}
 
 // MissRate reports the data-cache miss rate since the last Reset, or 0
 // when no memory access happened.
 func (m *Machine) MissRate() float64 {
-	if m.memAccesses == 0 {
+	n := m.memHits + m.memMisses
+	if n == 0 {
 		return 0
 	}
-	return float64(m.memMisses) / float64(m.memAccesses)
+	return float64(m.memMisses) / float64(n)
 }
 
 // BranchMissRate reports the branch misprediction rate since the last
@@ -186,42 +218,39 @@ func (m *Machine) BranchMissRate() float64 {
 
 // Alloc reserves n abstract words and returns their base address. Arrays
 // of distinct kernels are placed contiguously so that cache conflicts are
-// realistic. A small pad keeps arrays from sharing a line.
+// realistic. A one-line pad keeps arrays from sharing a line.
 func (m *Machine) Alloc(n int64) int64 {
 	base := m.nextBase
-	pad := int64(m.cache.WordsPerLine)
-	m.nextBase += n + pad
+	m.nextBase += n + 1<<m.lineShift
 	return base
 }
 
 // ALU accounts for n integer ALU operations.
-func (m *Machine) ALU(n int) { m.cycles += float64(n) * m.costs.ALU }
+func (m *Machine) ALU(n int) { m.alu += int64(n) }
 
 // MulOp accounts for n integer multiplies.
-func (m *Machine) MulOp(n int) { m.cycles += float64(n) * m.costs.Mul }
+func (m *Machine) MulOp(n int) { m.mul += int64(n) }
 
 // DivOp accounts for n integer divides.
-func (m *Machine) DivOp(n int) { m.cycles += float64(n) * m.costs.Div }
+func (m *Machine) DivOp(n int) { m.div += int64(n) }
 
 // Call accounts for a function call.
-func (m *Machine) Call() { m.cycles += m.costs.Call }
+func (m *Machine) Call() { m.calls++ }
 
 // Ret accounts for a function return.
-func (m *Machine) Ret() { m.cycles += m.costs.Ret }
+func (m *Machine) Ret() { m.rets++ }
 
-// access charges one data-cache access at the word address addr.
+// access resolves one data-cache access at the non-negative word address
+// addr.
 func (m *Machine) access(addr int64) {
-	m.memAccesses++
-	line := addr / int64(m.cache.WordsPerLine)
-	idx := int(line % int64(m.cache.Lines))
-	if m.valid[idx] && m.tags[idx] == line {
-		m.cycles += m.costs.MemHit
+	line := addr >> (m.lineShift & 63) // the mask drops Go's shift-range check
+	slot := &m.tags[line&m.slotMask]
+	if *slot == line {
+		m.memHits++
 		return
 	}
-	m.valid[idx] = true
-	m.tags[idx] = line
+	*slot = line
 	m.memMisses++
-	m.cycles += m.costs.MemMiss
 }
 
 // Load accounts for a load from word address addr.
@@ -230,21 +259,19 @@ func (m *Machine) Load(addr int64) { m.access(addr) }
 // Store accounts for a store to word address addr (write-allocate).
 func (m *Machine) Store(addr int64) { m.access(addr) }
 
-// Branch accounts for a conditional branch at the given static site,
-// resolving to taken. A 1-bit dynamic predictor per site charges the
-// misprediction penalty whenever the outcome differs from the last one.
+// Branch accounts for a conditional branch at the given static site
+// (a small non-negative integer), resolving to taken. A 1-bit dynamic
+// predictor per site, initialised to not-taken, mispredicts whenever the
+// outcome differs from the last one.
 func (m *Machine) Branch(site int, taken bool) {
+	if site >= len(m.pred) {
+		m.pred = append(m.pred, make([]bool, site+1-len(m.pred))...)
+	}
 	m.branches++
-	m.cycles += m.costs.Branch
-	if p, ok := m.pred[site]; ok && p != taken {
-		m.cycles += m.costs.BranchMiss
-		m.branchMiss++
-	} else if !ok && taken {
-		// Predictors initialise to not-taken; first taken branch misses.
-		m.cycles += m.costs.BranchMiss
+	if m.pred[site] != taken {
+		m.pred[site] = taken
 		m.branchMiss++
 	}
-	m.pred[site] = taken
 }
 
 // Program is a benchmark kernel runnable on a Machine. Run must generate a

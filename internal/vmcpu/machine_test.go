@@ -1,7 +1,10 @@
 package vmcpu
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -108,6 +111,57 @@ func TestMachineDefaultsOnBadCache(t *testing.T) {
 	m.Load(0)
 	if m.Cycles() != DefaultCosts().MemMiss {
 		t.Error("bad cache config did not fall back to defaults")
+	}
+}
+
+func TestMachinePanicsOnNonPowerOfTwoCache(t *testing.T) {
+	for _, g := range []CacheConfig{
+		{Lines: 1000, WordsPerLine: 8},
+		{Lines: 1024, WordsPerLine: 6},
+		{Lines: 3, WordsPerLine: 3},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "powers of two") {
+					t.Errorf("%+v: panic %q, want a powers-of-two message", g, msg)
+				}
+			}()
+			NewMachine(DefaultCosts(), g)
+		}()
+	}
+}
+
+func TestMachineResetAllocatesNothing(t *testing.T) {
+	m := NewDefaultMachine()
+	Collect(Epic{}, m, 2, rand.New(rand.NewSource(1)))
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Reset()
+		m.Load(0)
+		m.Branch(siteEpicRunFlush, true)
+	})
+	if allocs != 0 {
+		t.Errorf("Reset on a reused machine allocates %g times per job", allocs)
+	}
+}
+
+// shippedCosts are the cost models the package exports, by name.
+var shippedCosts = map[string]Costs{
+	"default": DefaultCosts(),
+	"cortexm": CostsCortexM(),
+	"dsp":     CostsDSP(),
+}
+
+// TestCostModelsWholeNumbers checks the condition under which pricing
+// event counts once equals accumulating each cost as it happens.
+func TestCostModelsWholeNumbers(t *testing.T) {
+	for name, c := range shippedCosts {
+		v := reflect.ValueOf(c)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i).Float(); f != math.Trunc(f) {
+				t.Errorf("%s: %s = %g is not a whole number", name, v.Type().Field(i).Name, f)
+			}
+		}
 	}
 }
 
@@ -304,5 +358,21 @@ func TestCostPresetsDistinct(t *testing.T) {
 	}
 	if CostsCortexM() == DefaultCosts() || CostsDSP() == DefaultCosts() {
 		t.Error("presets must differ from the default")
+	}
+}
+
+// BenchmarkKernel times one job instance of each Table I kernel per op,
+// on a reused machine as trace collection runs them.
+func BenchmarkKernel(b *testing.B) {
+	for _, p := range tableIKernels() {
+		b.Run(p.Name(), func(b *testing.B) {
+			m := NewDefaultMachine()
+			r := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.Run(m, r)
+			}
+		})
 	}
 }
