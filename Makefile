@@ -30,12 +30,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable perf trajectory: runs the tier benchmarks (simulator,
-# GA, objective engine, multicore pipeline, vmcpu kernels and the
-# Fig. 4/5 sweep) and writes per-benchmark ns/op and allocs/op medians to
-# BENCH_$(BENCH_N).json for cross-PR comparison.
+# GA, objective engine, multicore pipeline, vmcpu kernels, the Fig. 4/5
+# sweep and the sweep-paper DES pass) and writes per-benchmark ns/op and
+# allocs/op medians to BENCH_$(BENCH_N).json for comparison across commits.
 bench-json:
 	{ $(GO) test -run '^$$' -bench . -benchmem -count 3 ./internal/sim ./internal/ga ./internal/objective ./internal/obs ./internal/serve ./internal/multicore ./internal/vmcpu ; \
-	  $(GO) test -run '^$$' -bench 'Fig4$$|SimVal' -benchmem -count 3 . ; } \
+	  $(GO) test -run '^$$' -bench 'Fig4$$|SimVal|ReplicatePaperSets' -benchmem -count 3 . ; } \
 	| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_N).json
 
 # Gate the current tree against the latest baseline, BENCH_$(BENCH_LAST).

@@ -5,10 +5,19 @@
 package chebymc_test
 
 import (
+	"context"
+	"math/rand"
+	"sync"
 	"testing"
 
+	"chebymc/internal/edfvd"
 	"chebymc/internal/experiment"
 	"chebymc/internal/ga"
+	"chebymc/internal/mc"
+	"chebymc/internal/policy"
+	"chebymc/internal/rng"
+	"chebymc/internal/sim"
+	"chebymc/internal/taskgen"
 )
 
 // benchTraceCfg keeps per-iteration trace collection modest: 2000 samples
@@ -239,4 +248,76 @@ func BenchmarkExtension(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// paperSet is one admitted task set of the sweep-paper-like DES pass.
+type paperSet struct {
+	ts  *mc.TaskSet
+	cfg sim.Config
+}
+
+// paperSets are built once per process: 80 taskgen.Mixed sets at each of
+// U = 0.7, 0.9, 1.1, 1.3, assigned by the Fig. 4/5 GA (population 40, 60
+// generations); the EDF-VD-admitted ones are kept with truncated-normal
+// HC execution times over a 20000 horizon.
+var paperSets = sync.OnceValues(func() ([]paperSet, error) {
+	gaPolicy := policy.ChebyshevGA{Config: ga.Config{PopSize: 40, Generations: 60}}
+	var out []paperSet
+	for ui, u := range []float64{0.7, 0.9, 1.1, 1.3} {
+		for s := 0; s < 80; s++ {
+			r := rng.New(1, 102, int64(ui), int64(s))
+			ts, err := taskgen.Mixed(r, taskgen.Config{}, u)
+			if err != nil {
+				return nil, err
+			}
+			gaRoot, simSeed := r.Int63(), r.Int63()
+			a, err := gaPolicy.AssignCtx(context.Background(), ts, rand.New(rand.NewSource(gaRoot)))
+			if err != nil {
+				return nil, err
+			}
+			if !edfvd.Schedulable(a.TaskSet).Schedulable {
+				continue
+			}
+			exec, err := sim.TruncNormalExec(a.TaskSet)
+			if err != nil {
+				return nil, err
+			}
+			cfg := sim.Defaults()
+			cfg.Horizon = 20000
+			cfg.Exec = exec
+			cfg.Seed = simSeed
+			if a.TaskSet.NumHC() == 0 {
+				cfg.X = 1
+			}
+			out = append(out, paperSet{a.TaskSet, cfg})
+		}
+	}
+	return out, nil
+})
+
+// BenchmarkReplicatePaperSets is the DES layer of a sweep-paper pass: 16
+// single-worker replications of every admitted set. The sets are built
+// before the timer starts.
+func BenchmarkReplicatePaperSets(b *testing.B) {
+	sets, err := paperSets()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ps := range sets {
+			ms, err := sim.ReplicateCtx(ctx, ps.ts, ps.cfg, 16, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, m := range ms {
+				if m.HCMisses != 0 {
+					b.Fatal("HC deadline miss on an admitted set")
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(len(sets)), "sets")
 }

@@ -34,11 +34,9 @@ import (
 	"syscall"
 
 	"chebymc/internal/artifact"
-	"chebymc/internal/dist"
 	"chebymc/internal/edfvd"
 	"chebymc/internal/ga"
 	"chebymc/internal/mc"
-	"chebymc/internal/mlmc"
 	"chebymc/internal/multicore"
 	"chebymc/internal/obs"
 	"chebymc/internal/partition"
@@ -192,16 +190,9 @@ func run(ctx context.Context, in, polName string, n, lambda float64, boundName s
 	fmt.Printf("EDF-VD: %s\n", an)
 
 	if horizon > 0 {
-		exec := make(map[int]dist.Dist)
-		for _, t := range a.TaskSet.Tasks {
-			if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-				continue
-			}
-			d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-			if derr != nil {
-				continue
-			}
-			exec[t.ID] = d
+		exec, err := sim.TruncNormalExec(a.TaskSet)
+		if err != nil {
+			return err
 		}
 		if runs < 1 {
 			runs = 1
@@ -215,16 +206,16 @@ func run(ctx context.Context, in, polName string, n, lambda float64, boundName s
 		if ciEps > 0 {
 			// Adaptive mode: spend replications only until the mode-switch
 			// estimate is pinned to the requested precision.
-			res, serr := mlmc.AdaptiveAlloc(ctx, a.TaskSet, cfg,
+			res, serr := sim.AdaptiveAlloc(ctx, a.TaskSet, cfg,
 				func(m sim.Metrics) bool { return m.ModeSwitches > 0 },
-				mlmc.AdaptiveOptions{Eps: ciEps, MaxRuns: runs, Workers: workers})
+				sim.AdaptiveOptions{Eps: ciEps, MaxRuns: runs, Workers: workers})
 			if serr != nil {
 				return serr
 			}
 			fmt.Printf("Simulated %g time units, adaptive: P[mode switch]=%.4f ±%.4f (95%% CI), spent %d of %d runs (saved %d)\n",
 				horizon, res.PHat, res.HalfWidth, res.Runs, runs, res.Saved)
 		} else {
-			ms, serr := sim.ReplicateBatchCtx(ctx, a.TaskSet, cfg, runs, workers, 0)
+			ms, serr := sim.ReplicateCtx(ctx, a.TaskSet, cfg, runs, workers)
 			if serr != nil {
 				return serr
 			}
@@ -292,16 +283,9 @@ func runMulticore(ctx context.Context, ts *mc.TaskSet, pol policy.Policy, cores 
 		a.PMS, a.MaxULCLO, a.Objective, a.Schedulable, a.CoresUsed(), cores)
 
 	if horizon > 0 {
-		exec := make(map[int]dist.Dist)
-		for _, t := range a.TaskSet.Tasks {
-			if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-				continue
-			}
-			d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-			if derr != nil {
-				continue
-			}
-			exec[t.ID] = d
+		exec, err := sim.TruncNormalExec(a.TaskSet)
+		if err != nil {
+			return err
 		}
 		if runs < 1 {
 			runs = 1

@@ -20,8 +20,6 @@ import (
 	"log"
 	"math/rand"
 
-	"chebymc/internal/dist"
-	"chebymc/internal/mc"
 	"chebymc/internal/multicore"
 	"chebymc/internal/partition"
 	"chebymc/internal/policy"
@@ -86,16 +84,9 @@ func main() {
 
 	// Replay the worst-fit system at runtime: every core its own DES over
 	// the same horizon, seeds derived per (run, core).
-	exec := map[int]dist.Dist{}
-	for _, t := range worstFit.TaskSet.Tasks {
-		if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-			continue
-		}
-		d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-		if derr != nil {
-			log.Fatal(derr)
-		}
-		exec[t.ID] = d
+	exec, err := sim.TruncNormalExec(worstFit.TaskSet)
+	if err != nil {
+		log.Fatal(err)
 	}
 	scfg := sim.Defaults()
 	scfg.Horizon = 200000

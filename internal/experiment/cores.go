@@ -6,10 +6,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"chebymc/internal/dist"
 	"chebymc/internal/engine"
 	"chebymc/internal/ga"
-	"chebymc/internal/mc"
 	"chebymc/internal/multicore"
 	"chebymc/internal/partition"
 	"chebymc/internal/policy"
@@ -297,16 +295,9 @@ func (r *CoresResult) runSim(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("experiment: cores sim m=%d: %w", m, err)
 		}
-		exec := make(map[int]dist.Dist)
-		for _, t := range a.TaskSet.Tasks {
-			if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-				continue
-			}
-			d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-			if derr != nil {
-				return fmt.Errorf("experiment: cores sim task %d: %w", t.ID, derr)
-			}
-			exec[t.ID] = d
+		exec, err := sim.TruncNormalExec(a.TaskSet)
+		if err != nil {
+			return fmt.Errorf("experiment: cores sim: %w", err)
 		}
 		scfg := sim.Defaults()
 		scfg.Horizon = cfg.SimHorizon

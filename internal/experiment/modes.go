@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"chebymc/internal/dbf"
-	"chebymc/internal/dist"
 	"chebymc/internal/edfvd"
 	"chebymc/internal/engine"
 	"chebymc/internal/ga"
@@ -238,16 +237,9 @@ func RunModesCtx(ctx context.Context, cfg ModesConfig, eo EngOpts) (*ModesResult
 			if !admitted {
 				return setOut{}, nil
 			}
-			exec := make(map[int]dist.Dist)
-			for _, t := range ats.Tasks {
-				if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-					continue
-				}
-				d, derr := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-				if derr != nil {
-					return setOut{}, fmt.Errorf("experiment: modes task %d: %w", t.ID, derr)
-				}
-				exec[t.ID] = d
+			exec, err := sim.TruncNormalExec(ats)
+			if err != nil {
+				return setOut{}, fmt.Errorf("experiment: modes: %w", err)
 			}
 			scfg := sim.Defaults()
 			scfg.Horizon = cfg.Horizon
@@ -263,7 +255,7 @@ func RunModesCtx(ctx context.Context, cfg ModesConfig, eo EngOpts) (*ModesResult
 			// release gaps and execution draws, making the LC-completion
 			// comparison exact per seed.
 			scfg.Seed = rng.Derive(cfg.Seed, streamModes, -1, int64(s), int64(point%nr))
-			ms, err := sim.ReplicateBatchCtx(ctx, ats, scfg, cfg.Runs, 1, 0)
+			ms, err := sim.ReplicateCtx(ctx, ats, scfg, cfg.Runs, 1)
 			if err != nil {
 				return setOut{}, fmt.Errorf("experiment: modes %s/%s: %w", proto.Name, rel.Name, err)
 			}

@@ -214,7 +214,7 @@ var registry = []Scenario{
 	},
 	{
 		Name:         "simval",
-		Description:  "beyond the paper: DES validation of Eq. 10 via the batch simulator (± adaptive sampling)",
+		Description:  "beyond the paper: validation of Eq. 10 via the DES (± adaptive sampling)",
 		AxisLabel:    "n",
 		Axis:         axisSimVal,
 		DefaultSets:  50,

@@ -5,10 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"chebymc/internal/dist"
 	"chebymc/internal/engine"
-	"chebymc/internal/mc"
-	"chebymc/internal/mlmc"
 	"chebymc/internal/policy"
 	"chebymc/internal/sim"
 	"chebymc/internal/stats"
@@ -20,8 +17,8 @@ import (
 // validation of the Eq. 10 system mode-switch bound. The Fig. 3 sweep
 // evaluates Eq. 10 analytically and the bounds sweep checks it against a
 // per-round Bernoulli draw; here the claim is checked against the actual
-// EDF-VD runtime — internal/sim's event loop, via the batch-lockstep
-// replication engine. Each random task set is budgeted by the uniform-n
+// EDF-VD runtime — internal/sim's event loop, via sim.AdaptiveAlloc and
+// sim.ReplicateInto. Each random task set is budgeted by the uniform-n
 // policy and simulated over one hyper-round (the horizon is the minimum
 // period, so every task releases exactly once at t = 0); the fraction of
 // replications in which any HC job overruns its C^LO estimates the true
@@ -152,28 +149,23 @@ func RunSimValCtx(ctx context.Context, cfg SimValConfig, eo EngOpts) (*SimVal, e
 			// releases exactly once at t = 0 and "any overrun this run"
 			// is exactly the Eq. 10 event.
 			horizon := a.TaskSet.Tasks[0].Period
-			exec := map[int]dist.Dist{}
 			for _, t := range a.TaskSet.Tasks {
 				if t.Period < horizon {
 					horizon = t.Period
 				}
-				if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
-					continue
-				}
-				// Unimodal execution times capped at C^HI — the same
-				// model as the bounds sweep, under which every compared
-				// engine's validity precondition holds.
-				d, err := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
-				if err != nil {
-					continue
-				}
-				exec[t.ID] = d
+			}
+			// Unimodal execution times capped at C^HI — the same model as
+			// the bounds sweep, under which every compared engine's
+			// validity precondition holds.
+			exec, err := sim.TruncNormalExec(a.TaskSet)
+			if err != nil {
+				return setOut{}, fmt.Errorf("experiment: simval n=%g: %w", n, err)
 			}
 			scfg := sim.Defaults()
 			scfg.Horizon = horizon
 			scfg.Exec = exec
 			scfg.Seed = r.Int63()
-			res, err := mlmc.AdaptiveAlloc(ctx, a.TaskSet, scfg, func(m sim.Metrics) bool { return m.Overruns > 0 }, mlmc.AdaptiveOptions{
+			res, err := sim.AdaptiveAlloc(ctx, a.TaskSet, scfg, func(m sim.Metrics) bool { return m.Overruns > 0 }, sim.AdaptiveOptions{
 				Eps:     cfg.CIEps,
 				MaxRuns: cfg.Runs,
 				Workers: 1, // the sweep already parallelises across items

@@ -1,6 +1,7 @@
-package mlmc
+package sim
 
-// Adaptive sample allocation for Monte Carlo validation runs. The fixed
+// Adaptive sample allocation for Monte Carlo validation runs, built on
+// ReplicateInto. The fixed
 // replication counts of the experiment sweeps are sized for their worst
 // point — deep in a sweep most points need far fewer samples to pin the
 // estimated probability to a useful precision. AdaptiveAlloc grows the
@@ -9,7 +10,7 @@ package mlmc
 // many of the budgeted replications it never had to run.
 //
 // Replication i of an adaptive estimate is always the same simulation as
-// replication i of a fixed-count run (the batch engine's run-index
+// replication i of a fixed-count run (ReplicateInto's run-index
 // contract), so switching the allocator on changes how many replications
 // are spent, never what any one of them computes.
 
@@ -20,10 +21,9 @@ import (
 
 	"chebymc/internal/mc"
 	"chebymc/internal/obs"
-	"chebymc/internal/sim"
 )
 
-var obsAdaptiveSaved = obs.Default.Counter("mlmc_adaptive_saved_runs_total",
+var obsAdaptiveSaved = obs.Default.Counter("sim_adaptive_saved_runs_total",
 	"budgeted Monte Carlo replications skipped by adaptive allocation")
 
 // adaptiveZ is the normal quantile behind the default 95% confidence
@@ -42,10 +42,8 @@ type AdaptiveOptions struct {
 	// MinRuns is the floor before the stopping rule is consulted, so a
 	// lucky early streak cannot truncate the estimate. Default 64.
 	MinRuns int
-	// Step is the number of replications added per growth round. It is
-	// deliberately independent of the simulator's lockstep width, so the
-	// spend sequence (and therefore the estimate) does not depend on how
-	// replications are batched. Default 64.
+	// Step is the number of replications added per growth round.
+	// Default 64.
 	Step int
 	// Workers bounds simulation parallelism (≤ 0 for 1).
 	Workers int
@@ -87,16 +85,17 @@ func WilsonHalfWidth(hits, n int) float64 {
 // AdaptiveAlloc estimates P[pred(replication)] for the simulation
 // configuration cfg, replicating in growth rounds of opt.Step until the
 // Wilson half-width drops to opt.Eps or the opt.MaxRuns budget is
-// exhausted. Replications run through the batch-lockstep engine and are
-// numbered from 0 in the global run-index space, so the first Runs
-// replications — and the estimate built from any prefix — are identical
-// to a fixed-count sim.ReplicateBatchCtx call.
-func AdaptiveAlloc(ctx context.Context, ts *mc.TaskSet, cfg sim.Config, pred func(sim.Metrics) bool, opt AdaptiveOptions) (AdaptiveResult, error) {
+// exhausted. Every round folds the next range through one replicator,
+// as ReplicateInto would, with replications numbered from 0 in the
+// global run-index space, so the first Runs replications — and the
+// estimate built from any prefix — are identical to a fixed-count
+// ReplicateCtx call.
+func AdaptiveAlloc(ctx context.Context, ts *mc.TaskSet, cfg Config, pred func(Metrics) bool, opt AdaptiveOptions) (AdaptiveResult, error) {
 	if opt.MaxRuns < 1 {
-		return AdaptiveResult{}, fmt.Errorf("mlmc: adaptive budget %d must be ≥ 1", opt.MaxRuns)
+		return AdaptiveResult{}, fmt.Errorf("sim: adaptive budget %d must be ≥ 1", opt.MaxRuns)
 	}
 	if pred == nil {
-		return AdaptiveResult{}, fmt.Errorf("mlmc: nil predicate")
+		return AdaptiveResult{}, fmt.Errorf("sim: nil predicate")
 	}
 	minRuns := opt.MinRuns
 	if minRuns <= 0 {
@@ -110,9 +109,13 @@ func AdaptiveAlloc(ctx context.Context, ts *mc.TaskSet, cfg sim.Config, pred fun
 		step = 64
 	}
 
+	r, err := newReplicator(ts, cfg)
+	if err != nil {
+		return AdaptiveResult{}, err
+	}
 	var res AdaptiveResult
 	grow := func(from, to int) error {
-		return sim.ReplicateInto(ctx, ts, cfg, from, to, opt.Workers, func(_ int, m sim.Metrics) {
+		return r.into(ctx, from, to, opt.Workers, func(_ int, m Metrics) {
 			if pred(m) {
 				res.Hits++
 			}

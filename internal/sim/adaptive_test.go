@@ -1,4 +1,4 @@
-package mlmc
+package sim
 
 import (
 	"context"
@@ -7,10 +7,9 @@ import (
 
 	"chebymc/internal/dist"
 	"chebymc/internal/mc"
-	"chebymc/internal/sim"
 )
 
-func adaptiveFixture(t *testing.T) (*mc.TaskSet, sim.Config) {
+func adaptiveFixture(t *testing.T) (*mc.TaskSet, Config) {
 	t.Helper()
 	ts, err := mc.NewTaskSet([]mc.Task{
 		{ID: 1, Crit: mc.HC, CLO: 20, CHI: 60, Period: 100,
@@ -24,14 +23,14 @@ func adaptiveFixture(t *testing.T) (*mc.TaskSet, sim.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.Defaults()
+	cfg := Defaults()
 	cfg.Horizon = 2000
 	cfg.Exec = map[int]dist.Dist{1: d}
 	cfg.Seed = 11
 	return ts, cfg
 }
 
-func overran(m sim.Metrics) bool { return m.Overruns > 0 }
+func overran(m Metrics) bool { return m.Overruns > 0 }
 
 func TestWilsonHalfWidth(t *testing.T) {
 	if hw := WilsonHalfWidth(0, 0); !math.IsInf(hw, 1) {
@@ -76,7 +75,7 @@ func TestAdaptiveAllocConverges(t *testing.T) {
 
 	// The first Runs replications are the same simulations a fixed-count
 	// call performs: recompute the estimate independently.
-	ms, err := sim.ReplicateBatchCtx(ctx, ts, cfg, res.Runs, 4, 0)
+	ms, err := ReplicateCtx(ctx, ts, cfg, res.Runs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	"chebymc/internal/dist"
@@ -124,36 +123,22 @@ func BenchmarkRun50Tasks(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicateBatch measures replication throughput of the
-// batch-lockstep engine across lockstep widths on the jitter-free
-// 20-task workload (jitter forces the scalar fallback, so it is
-// stripped here to measure the SoA fast path). width=1 is lockstep
-// bookkeeping with no sharing; "scalar" is the pre-batch ReplicateCtx
-// path on the same workload. Workers are pinned to 1 so the numbers
-// isolate single-core batching gains from parallel speed-up.
-func BenchmarkReplicateBatch(b *testing.B) {
+// BenchmarkReplicate measures replication throughput on the jitter-free
+// 20-task workload, where every run reads the shared periodic release
+// table and reuses one simulator. Workers are pinned to 1 so the number
+// isolates single-core cost from parallel speed-up.
+func BenchmarkReplicate(b *testing.B) {
 	const runs = 128
 	ts, cfg := benchSet(b, 20)
 	cfg.Jitter = nil
 	cfg.Horizon = 2e4
 	ctx := context.Background()
-	b.Run("scalar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := ReplicateCtx(ctx, ts, cfg, runs, 1); err != nil {
-				b.Fatal(err)
-			}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ReplicateCtx(ctx, ts, cfg, runs, 1); err != nil {
+			b.Fatal(err)
 		}
-	})
-	for _, width := range []int{1, 8, 32, 128} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, width); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 
@@ -202,6 +187,7 @@ func BenchmarkReplicateSystem(b *testing.B) {
 		}
 		sets = append(sets, ts)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReplicateSystemCtx(b.Context(), sets, Config{Horizon: 1e4, Seed: 1}, 8, 0); err != nil {
@@ -223,17 +209,18 @@ func BenchmarkReplicateTaskLevel(b *testing.B) {
 	cfg.Protocol = TaskLevel
 	ctx := context.Background()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, 32); err != nil {
+		if _, err := ReplicateCtx(ctx, ts, cfg, runs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkReplicateSporadic measures the sporadic release model on the
-// replication path. A non-periodic release model forces the scalar
-// fallback inside ReplicateBatchCtx and adds one gap draw per release,
-// so this tracks the price of sporadic workloads end to end.
+// replication path. A non-periodic release model walks a per-run release
+// heap instead of the shared table and adds one gap draw per release, so
+// this tracks the price of sporadic workloads end to end.
 func BenchmarkReplicateSporadic(b *testing.B) {
 	const runs = 128
 	ts, cfg := benchSet(b, 20)
@@ -242,8 +229,9 @@ func BenchmarkReplicateSporadic(b *testing.B) {
 	cfg.Release = DefaultSporadic()
 	ctx := context.Background()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplicateBatchCtx(ctx, ts, cfg, runs, 1, 32); err != nil {
+		if _, err := ReplicateCtx(ctx, ts, cfg, runs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,6 +14,20 @@ import (
 	"chebymc/internal/mc"
 )
 
+// job is the reference implementation's job record. The event loop
+// keeps its jobs in structure-of-arrays slots instead (see heap.go).
+type job struct {
+	task      *mc.Task
+	release   float64 // release instant
+	absDL     float64 // real deadline
+	virtDL    float64 // EDF-VD priority deadline (shrunk for HC in LO)
+	remaining float64 // execution time still needed
+	execTotal float64 // drawn execution time
+	consumed  float64 // processor time received
+	degraded  bool
+	dropped   bool
+}
+
 // goldenSets enumerates the task-set shapes under test, including the
 // degenerate ones: a single task, an all-LC set (which needs an explicit
 // X because the EDF-VD analysis yields X = 0 without HC load).

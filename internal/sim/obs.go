@@ -28,15 +28,6 @@ var (
 	// system replication, flushed after the whole fan-out.
 	obsSystemRuns = obs.Default.Counter("sim_system_runs_total",
 		"completed multicore system replications (all cores of one run)")
-
-	// Batch-engine telemetry, flushed once per lockstep batch (never from
-	// the inner loop): how many replications went through the fast path,
-	// and at what widths.
-	obsBatchRuns = obs.Default.Counter("sim_batch_runs_total",
-		"replications simulated by the batch-lockstep engine")
-	obsBatchWidth = obs.Default.Histogram("sim_batch_width",
-		"lockstep width of completed batches",
-		[]float64{1, 2, 4, 8, 16, 32, 64, 128})
 )
 
 // recordRun flushes one run's counts — the single obs touch point of a

@@ -108,7 +108,7 @@ func (s Sporadic) Gap(r *rand.Rand, t *mc.Task) float64 {
 func (s Sporadic) String() string { return "sporadic" }
 
 // releaseIsPeriodic reports whether m never deviates from the period —
-// the class the batch-lockstep engine's shared release skeleton models.
+// the class a shared release table can serve.
 func releaseIsPeriodic(m ReleaseModel) bool {
 	if m == nil {
 		return true
@@ -166,4 +166,24 @@ func Defaults() Config {
 		Protocol:      SystemLevel,
 		Release:       Periodic{},
 	}
+}
+
+// TruncNormalExec builds the execution-time model the experiments and
+// CLIs simulate: for every HC task with σ > 0, its profile's normal
+// truncated to [0, C^HI]. Other tasks get no entry and execute for
+// exactly C^LO. It fails when a profile cannot be truncated that way —
+// an ACET more than 8σ above C^HI.
+func TruncNormalExec(ts *mc.TaskSet) (map[int]dist.Dist, error) {
+	exec := make(map[int]dist.Dist)
+	for _, t := range ts.Tasks {
+		if t.Crit != mc.HC || t.Profile.Sigma <= 0 {
+			continue
+		}
+		d, err := dist.NewTruncNormal(t.Profile.ACET, t.Profile.Sigma, 0, t.CHI)
+		if err != nil {
+			return nil, fmt.Errorf("sim: task %d: %w", t.ID, err)
+		}
+		exec[t.ID] = d
+	}
+	return exec, nil
 }

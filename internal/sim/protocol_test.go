@@ -4,12 +4,13 @@ package sim
 // zero-value axes (SystemLevel + nil release) and their explicit
 // spellings (SystemLevel + Periodic{}) are bit-identical to the
 // pre-redesign simulator — pinned against the frozen reference across
-// the policy×jitter×X matrix, at every batch width, and through
+// the policy×jitter×X matrix, at several worker counts, and through
 // ReplicateSystemCtx — while TaskLevel and Sporadic change behaviour in
 // the directions the model promises.
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"chebymc/internal/dist"
@@ -70,28 +71,25 @@ func TestGoldenExplicitAxesMatrix(t *testing.T) {
 }
 
 // TestExplicitAxesBatchWidths pins the explicit zero axes through the
-// batch engine at every width class: results must match the zero-value
-// configuration replicated the scalar way.
+// replication path at several worker counts: results must match the
+// zero-value configuration computed by fresh per-run simulators.
 func TestExplicitAxesBatchWidths(t *testing.T) {
 	ts, cfg := benchSet(t, 12)
 	cfg.Jitter = nil
 	cfg.Seed = 99
 	const runs = 24
-	want, err := ReplicateCtx(t.Context(), ts, cfg, runs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := independentRuns(t, ts, cfg, runs)
 	explicit := cfg
 	explicit.Protocol = SystemLevel
 	explicit.Release = Periodic{}
-	for _, width := range []int{1, 4, 32, runs} {
-		got, err := ReplicateBatchCtx(t.Context(), ts, explicit, runs, 3, width)
+	for _, workers := range []int{1, 3, runs} {
+		got, err := ReplicateCtx(t.Context(), ts, explicit, runs, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("width %d run %d diverges:\n got  %+v\n want %+v", width, i, got[i], want[i])
+				t.Fatalf("workers %d run %d diverges:\n got  %+v\n want %+v", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -322,9 +320,10 @@ func TestSporadicMinSepValidation(t *testing.T) {
 	}
 }
 
-// TestNonDefaultAxesDelegateBitIdentical: the batch engine must fall
-// back to the scalar path for task-level and sporadic configurations and
-// stay bit-identical to ReplicateCtx at every width.
+// TestNonDefaultAxesDelegateBitIdentical: task-level and sporadic
+// configurations replicate on reused simulators with per-run release
+// heaps and must stay bit-identical to fresh per-run simulators at every
+// worker count.
 func TestNonDefaultAxesDelegateBitIdentical(t *testing.T) {
 	ts, cfg := benchSet(t, 10)
 	cfg.Jitter = nil
@@ -345,18 +344,15 @@ func TestNonDefaultAxesDelegateBitIdentical(t *testing.T) {
 	const runs = 12
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) {
-			want, err := ReplicateCtx(t.Context(), ts, v, runs, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, width := range []int{1, 5, runs} {
-				got, err := ReplicateBatchCtx(t.Context(), ts, v, runs, 3, width)
+			want := independentRuns(t, ts, v, runs)
+			for _, workers := range []int{1, 3, runs} {
+				got, err := ReplicateCtx(t.Context(), ts, v, runs, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range got {
 					if got[i] != want[i] {
-						t.Fatalf("width %d run %d diverges", width, i)
+						t.Fatalf("workers %d run %d diverges", workers, i)
 					}
 				}
 			}
@@ -386,5 +382,37 @@ func TestDefaultsFullyPopulated(t *testing.T) {
 	}
 	if _, err := ProtocolByName("bogus"); err == nil {
 		t.Error("unknown protocol name must error")
+	}
+}
+
+// TestTruncNormalExec checks the shared execution-time model: an entry
+// for every HC task with σ > 0 and none for LC or σ = 0 tasks, and an
+// error naming the task whose ACET lies more than 8σ above C^HI.
+func TestTruncNormalExec(t *testing.T) {
+	ts, err := mc.NewTaskSet([]mc.Task{
+		{ID: 1, Crit: mc.HC, CLO: 20, CHI: 60, Period: 100, Profile: mc.Profile{ACET: 15, Sigma: 2.5}},
+		{ID: 2, Crit: mc.HC, CLO: 20, CHI: 60, Period: 100, Profile: mc.Profile{ACET: 15}},
+		{ID: 3, Crit: mc.LC, CLO: 10, CHI: 10, Period: 50, Profile: mc.Profile{ACET: 5, Sigma: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := TruncNormalExec(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, ok := exec[1].(dist.TruncNormal)
+	if len(exec) != 1 || !ok || d != (dist.TruncNormal{Mu: 15, Sigma: 2.5, Lo: 0, Hi: 60}) {
+		t.Fatalf("exec = %+v, want task 1 only as TruncNormal(15, 2.5, 0, 60)", exec)
+	}
+
+	far, err := mc.NewTaskSet([]mc.Task{
+		{ID: 7, Crit: mc.HC, CLO: 20, CHI: 30, Period: 100, Profile: mc.Profile{ACET: 50, Sigma: 2}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := TruncNormalExec(far); err == nil || !strings.Contains(err.Error(), "task 7") {
+		t.Fatalf("ACET 10σ above C^HI: err = %v, want an error naming task 7", err)
 	}
 }

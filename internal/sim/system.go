@@ -95,8 +95,8 @@ func ReplicateSystemCtx(ctx context.Context, sets []*mc.TaskSet, cfg Config, run
 		return nil, errors.New("sim: system replication needs at least one core")
 	}
 	// Resolve each occupied core's configuration once (EDF-VD factor,
-	// defaults) so replications only reseed.
-	bases := make([]*Config, len(sets))
+	// defaults, release table) so replications only reseed.
+	probes := make([]*Simulator, len(sets))
 	occupied := 0
 	for c, set := range sets {
 		if set == nil {
@@ -113,27 +113,31 @@ func ReplicateSystemCtx(ctx context.Context, sets []*mc.TaskSet, cfg Config, run
 		if err != nil {
 			return nil, fmt.Errorf("sim: core %d: %w", c, err)
 		}
-		base := probe.cfg
-		bases[c] = &base
+		probe.table = probe.newReleaseTable()
+		probes[c] = probe
 		occupied++
 	}
 	if occupied == 0 {
 		return nil, errors.New("sim: system replication needs at least one occupied core")
 	}
+	sims := newSimStack(probes, func() []*Simulator {
+		cores := make([]*Simulator, len(probes))
+		for c, p := range probes {
+			if p != nil {
+				cores[c] = p.clone()
+			}
+		}
+		return cores
+	})
 	out, err := par.MapCtx(ctx, workers, runs, func(i int) (SystemMetrics, error) {
 		sm := SystemMetrics{Cores: make([]Metrics, len(sets))}
-		for c, base := range bases {
-			if base == nil {
-				continue
+		cores := sims.get()
+		for c, s := range cores {
+			if s != nil {
+				sm.Cores[c] = s.runSeed(rng.Derive(cfg.Seed, int64(i), int64(c)))
 			}
-			cc := *base
-			cc.Seed = rng.Derive(cfg.Seed, int64(i), int64(c))
-			s, err := New(sets[c], cc)
-			if err != nil {
-				return SystemMetrics{}, fmt.Errorf("sim: core %d: %w", c, err)
-			}
-			sm.Cores[c] = s.Run()
 		}
+		sims.put(cores)
 		return sm, nil
 	})
 	if err != nil {
